@@ -11,7 +11,6 @@ import numpy as np
 
 from qergodic import (
     closed_form_spectrum,
-    decompose_classes,
     fixed_walk,
     lift_chain,
     survival_coefficient,
@@ -38,7 +37,7 @@ print(f"normalizations: sum(nu)={system.nu.sum():.12f}, "
 # The general pipeline reproduces the closed forms from the matrix alone.
 problem = fixed_walk(p, K, initial="1")
 lifted = lift_chain(problem)
-cls = decompose_classes(lifted.survivor_matrix).classes[0]
+cls = lifted.decomposition.classes[0]
 print(f"pipeline: period T={cls.period}, rho={cls.rho:.12f} "
       f"(closed form {closed[0]:.12f})")
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from qergodic import (
     SimConfig,
-    decompose_classes,
     estimate_conditionals,
     lift_chain,
     moving_walk,
@@ -33,7 +32,7 @@ print("Moving walk N=3, p=0.5, from state 3: survival vs c_n * rho^n\n")
 config = SimConfig(seed=7, trajectories=300_000, horizon=28)
 p_hat, se = survival_curve(problem, config)
 lifted = lift_chain(problem)
-cls = decompose_classes(lifted.survivor_matrix).classes[0]
+cls = lifted.decomposition.classes[0]
 pos = lifted.survivor_index[("3", 0)]
 print(" n   empirical     predicted     ratio")
 for n in (8, 16, 24, 28):

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ValidationError
+from .spectral import ClassDecomposition, decompose_classes
 
 __all__ = [
     "ROW_SUM_TOL",
@@ -237,28 +238,57 @@ class AbsorbedChainProblem:
 class LiftedChain:
     """The chain on (state, phase) pairs with a static killing set.
 
-    ``states`` lists the full lifted space in phase-major order;
-    ``survivors`` is its restriction to states outside the lifted killing
-    set, in the same order.  ``survivor_matrix`` is the substochastic
-    one-step matrix on survivors; ``initial_vector`` carries the problem's
-    initial mass placed at phase 0 (unnormalized).
+    One lift serves one analysis call: every array below is built on
+    first read and kept.  ``survivors`` lists the lifted states outside
+    the lifted killing set in phase-major order; ``survivor_matrix`` is
+    the substochastic one-step matrix on them; ``initial_vector`` carries
+    the problem's initial mass placed at phase 0 (unnormalized);
+    ``decomposition`` is the class decomposition of ``survivor_matrix``,
+    shared by validation and every analysis run on this lift.
     """
 
     problem: AbsorbedChainProblem
-    gamma: int
-    states: tuple[tuple[str, int], ...]
-    boundary_states: frozenset[tuple[str, int]]
-    survivors: tuple[tuple[str, int], ...]
-    matrix: np.ndarray
-    survivor_matrix: np.ndarray
-    initial_vector: np.ndarray
+
+    @property
+    def gamma(self) -> int:
+        return self.problem.gamma
+
+    @cached_property
+    def survivors(self) -> tuple[tuple[str, int], ...]:
+        return tuple(
+            (x, k) for k in range(self.gamma) for x in self.problem.survivors(k)
+        )
 
     @cached_property
     def survivor_index(self) -> dict[tuple[str, int], int]:
         return {s: i for i, s in enumerate(self.survivors)}
 
-    def survivor_positions(self, phase: int) -> list[int]:
-        return [i for i, (_, k) in enumerate(self.survivors) if k == phase % self.gamma]
+    @cached_property
+    def survivor_matrix(self) -> np.ndarray:
+        # (x, k) -> (y, k') carries P(x, y) exactly when k' = k + 1 mod gamma
+        index = self.problem.space.index
+        idx = np.array([index(x) for x, _ in self.survivors], dtype=int)
+        phase = np.array([k for _, k in self.survivors], dtype=int)
+        P = self.problem.kernel.normalized()
+        step = (phase[:, None] + 1) % self.gamma == phase[None, :]
+        return _frozen_array(P[np.ix_(idx, idx)] * step)
+
+    @cached_property
+    def initial_vector(self) -> np.ndarray:
+        weights = self.problem.initial.weights
+        return _frozen_array(
+            [weights.get(x, 0.0) if k == 0 else 0.0 for x, k in self.survivors]
+        )
+
+    @cached_property
+    def decomposition(self) -> ClassDecomposition:
+        return decompose_classes(self.survivor_matrix)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense kernel on all (state, phase) pairs, built on each read."""
+        shift = np.roll(np.eye(self.gamma), 1, axis=1)
+        return np.kron(shift, self.problem.kernel.normalized())
 
     def normalized_initial(self) -> np.ndarray:
         total = self.initial_vector.sum()
@@ -267,12 +297,15 @@ class LiftedChain:
         return self.initial_vector / total
 
 
-def validate_problem(problem: AbsorbedChainProblem) -> list[str]:
+def validate_problem(
+    problem: AbsorbedChainProblem, lifted: LiftedChain | None = None
+) -> list[str]:
     """Check every invariant of a problem and report the violations.
 
     Returns an empty list exactly when the problem is valid.  The checks
     that need arithmetic on the kernel (almost-sure absorption) run only
-    when the structural checks pass.
+    when the structural checks pass; they read the class decomposition of
+    ``lifted``, the lift of ``problem``, which is created when not given.
     """
     violations: list[str] = []
     space = problem.space
@@ -328,77 +361,33 @@ def validate_problem(problem: AbsorbedChainProblem) -> list[str]:
             )
 
     if not violations:
-        from .spectral import spectral_radius
-
-        lifted = lift_chain(problem, validate=False)
-        if lifted.survivor_matrix.size:
-            radius = spectral_radius(lifted.survivor_matrix)
-            if radius >= 1.0 - ABSORPTION_RADIUS_TOL:
-                violations.append(
-                    "absorption is not almost sure: lifted survivor matrix has "
-                    f"spectral radius {radius!r}"
-                )
+        if lifted is None:
+            lifted = LiftedChain(problem)
+        radius = max((c.rho for c in lifted.decomposition.classes), default=0.0)
+        if radius >= 1.0 - ABSORPTION_RADIUS_TOL:
+            violations.append(
+                "absorption is not almost sure: lifted survivor matrix has "
+                f"spectral radius {radius!r}"
+            )
     return violations
 
 
 def lift_chain(problem: AbsorbedChainProblem, validate: bool = True) -> LiftedChain:
-    """Build the lifted chain on (state, phase) pairs.
+    """Lift the chain to (state, phase) pairs, validating the problem first.
 
     The lifted kernel moves ``(x, k)`` to ``(y, k+1 mod gamma)`` with the
     original probability ``P(x, y)``; the lifted killing set collects all
     ``(x, k)`` with ``x`` killed at phase ``k`` and no longer moves.
+    Validation decomposes the returned lift, so callers reuse that work.
     """
+    lifted = LiftedChain(problem)
     if validate:
-        violations = validate_problem(problem)
+        violations = validate_problem(problem, lifted)
         if violations:
             raise ValidationError(
                 "invalid problem: " + "; ".join(violations), violations
             )
-
-    space = problem.space
-    gamma = problem.gamma
-    labels = space.labels
-    size = space.size
-    P = problem.kernel.normalized()
-
-    states = tuple((x, k) for k in range(gamma) for x in labels)
-    boundary_states = frozenset(
-        (x, k) for k in range(gamma) for x in problem.boundary.killing_sets[k]
-        if x in space
-    )
-    survivors = tuple(s for s in states if s not in boundary_states)
-
-    full = np.zeros((size * gamma, size * gamma))
-    for k in range(gamma):
-        nxt = (k + 1) % gamma
-        full[k * size:(k + 1) * size, nxt * size:(nxt + 1) * size] = P
-
-    n_surv = len(survivors)
-    Q = np.zeros((n_surv, n_surv))
-    by_phase: dict[int, list[int]] = {}
-    for i, (_, k) in enumerate(survivors):
-        by_phase.setdefault(k, []).append(i)
-    for k in range(gamma):
-        rows = by_phase.get(k, [])
-        cols = by_phase.get((k + 1) % gamma, [])
-        if rows and cols:
-            src = [space.index(survivors[i][0]) for i in rows]
-            dst = [space.index(survivors[j][0]) for j in cols]
-            Q[np.ix_(rows, cols)] = P[np.ix_(src, dst)]
-
-    initial = np.array(
-        [problem.initial.weights.get(x, 0.0) if k == 0 else 0.0 for x, k in survivors]
-    )
-    return LiftedChain(
-        problem=problem,
-        gamma=gamma,
-        states=states,
-        boundary_states=boundary_states,
-        survivors=survivors,
-        matrix=_frozen_array(full),
-        survivor_matrix=_frozen_array(Q),
-        initial_vector=_frozen_array(initial),
-    )
+    return lifted
 
 
 def survivor_restriction(

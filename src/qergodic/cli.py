@@ -38,7 +38,7 @@ from .errors import (
 from .qed import qed_moving
 from .qprocess import build_qprocess_dominant
 from .sim import SimConfig, estimate_conditionals
-from .spectral import decompose_classes, peripheral_system
+from .spectral import peripheral_system
 from .walks import build_walk, RandomWalkSpec
 
 EXIT_OK = 0
@@ -92,7 +92,15 @@ def _load_f(args, problem):
         ) from None
     if not isinstance(data, dict):
         raise ValidationError(f"{args.f}: expected an object mapping state to value")
-    return {str(k): float(v) for k, v in data.items()}
+    values = {}
+    for k, v in data.items():
+        try:
+            values[str(k)] = float(v)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{args.f}: value for state {k!r} is not a number: {v!r}"
+            ) from None
+    return values
 
 
 def _dist_dict(dist: Distribution) -> dict:
@@ -114,7 +122,7 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     problem = load_problem(args.input)
     lifted = lift_chain(problem)
-    decomposition = decompose_classes(lifted.survivor_matrix)
+    decomposition = lifted.decomposition
     classes = []
     for cls in decomposition.classes:
         system = peripheral_system(cls)
@@ -140,7 +148,7 @@ def cmd_analyze(args) -> int:
     report = {
         "meta": _meta(args, "analyze"),
         "gamma": problem.gamma,
-        "lifted_states": len(lifted.states),
+        "lifted_states": problem.space.size * problem.gamma,
         "lifted_survivors": len(lifted.survivors),
         "spectral_radius": max((c.rho for c in decomposition.classes), default=0.0),
         "classes": classes,
@@ -209,6 +217,8 @@ def cmd_qprocess(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.n < 1:
+        raise ValidationError(f"--n must be a positive horizon, got {args.n}")
     problem = load_problem(args.input)
     f = _load_f(args, problem)
     if f is None:

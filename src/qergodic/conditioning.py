@@ -27,7 +27,6 @@ from .chain import (
 from .errors import ConvergenceError, NullEventError, ValidationError
 
 __all__ = [
-    "ConditionalMap",
     "CollapsedChain",
     "QldCycle",
     "FixedPointSearch",
@@ -104,38 +103,23 @@ def _initial_vector(problem, mu: Distribution | None) -> np.ndarray:
     return vec / total
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalMap:
-    """One conditioned step: push through the kernel, keep phase survivors.
-
-    The map is scale-invariant in its input, and the output is a
-    probability law supported on the survival set of ``phase``.
-    """
-
-    problem: AbsorbedChainProblem
-    phase: int
-
-    @property
-    def killing_set(self) -> frozenset[str]:
-        return self.problem.boundary.killing_set(self.phase)
-
-    def __call__(self, mu: Distribution) -> Distribution:
-        vec = mu.to_array(self.problem.space)
-        if np.any(vec < 0.0):
-            raise ValidationError("law has negative weights")
-        if vec.sum() <= 0.0:
-            raise NullEventError("cannot condition a law with no mass")
-        P = self.problem.kernel.normalized()
-        return Distribution.from_array(
-            self.problem.space, _step_vector(self.problem, P, vec, self.phase)
-        )
-
-
 def conditional_step(
     problem: AbsorbedChainProblem, mu: Distribution, phase: int
 ) -> Distribution:
-    """One step of the chain conditioned on surviving into ``phase``."""
-    return ConditionalMap(problem, phase)(mu)
+    """One step of the chain conditioned on surviving into ``phase``.
+
+    Pushes ``mu`` (of any positive total mass) through the kernel and
+    keeps the survivors of ``phase``; the result is a probability law.
+    """
+    vec = mu.to_array(problem.space)
+    if np.any(vec < 0.0):
+        raise ValidationError("law has negative weights")
+    if vec.sum() <= 0.0:
+        raise NullEventError("cannot condition a law with no mass")
+    P = problem.kernel.normalized()
+    return Distribution.from_array(
+        problem.space, _step_vector(problem, P, vec, phase)
+    )
 
 
 def conditional_law(
@@ -247,8 +231,8 @@ def qld_cycle(
     multiple of the cycle length, and then confirms one more period.
     """
     gamma = problem.gamma
-    lifted = lift_chain(problem, validate=False)
-    r_cap = max(1, len(lifted.survivors) // gamma) + 1
+    n_lifted = sum(len(problem.survivors(k)) for k in range(gamma))
+    r_cap = max(1, n_lifted // gamma) + 1
     window = 2 * (r_cap + 1) * gamma + 1
 
     P = problem.kernel.normalized()

@@ -202,7 +202,7 @@ def qed_moving(problem: AbsorbedChainProblem, f=None) -> QedResult:
     ``f`` read on the original states.
     """
     lifted = lift_chain(problem)
-    decomposition = decompose_classes(lifted.survivor_matrix)
+    decomposition = lifted.decomposition
     selection = select_dominant(decomposition, lifted.initial_vector)
     cls = selection.selected(decomposition)
     eta_lifted = _eta_on_class(cls, len(lifted.survivors))

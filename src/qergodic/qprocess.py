@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import AbsorbedChainProblem, lift_chain
 from .errors import NullEventError, ValidationError
-from .spectral import IrreducibleClass, decompose_classes
+from .spectral import IrreducibleClass
 
 __all__ = [
     "PhaseSlice",
@@ -102,7 +102,7 @@ class QProcessKernel:
         return states, acc
 
 
-def _class_of_lifted_state(decomposition, lifted, key) -> IrreducibleClass:
+def _class_of_lifted_state(lifted, key) -> IrreducibleClass:
     try:
         pos = lifted.survivor_index[key]
     except KeyError:
@@ -110,6 +110,7 @@ def _class_of_lifted_state(decomposition, lifted, key) -> IrreducibleClass:
             f"state {key[0]!r} is absorbed at phase {key[1]}; the conditioned "
             "chain is undefined from it"
         ) from None
+    decomposition = lifted.decomposition
     return decomposition.classes[int(decomposition.class_of[pos])]
 
 
@@ -172,8 +173,7 @@ def build_qprocess(problem: AbsorbedChainProblem, x: str) -> QProcessKernel:
     reported on the result before exact renormalization).
     """
     lifted = lift_chain(problem)
-    decomposition = decompose_classes(lifted.survivor_matrix)
-    cls = _class_of_lifted_state(decomposition, lifted, (x, 0))
+    cls = _class_of_lifted_state(lifted, (x, 0))
     return _kernel_for_class(problem, lifted, cls)
 
 
@@ -182,9 +182,8 @@ def build_qprocess_dominant(problem: AbsorbedChainProblem) -> QProcessKernel:
     from .qed import select_dominant
 
     lifted = lift_chain(problem)
-    decomposition = decompose_classes(lifted.survivor_matrix)
-    selection = select_dominant(decomposition, lifted.initial_vector)
-    cls = selection.selected(decomposition)
+    selection = select_dominant(lifted.decomposition, lifted.initial_vector)
+    cls = selection.selected(lifted.decomposition)
     return _kernel_for_class(problem, lifted, cls)
 
 

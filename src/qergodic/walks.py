@@ -35,7 +35,6 @@ __all__ = [
     "fixed_walk",
     "moving_walk",
     "closed_form_spectrum",
-    "characteristic_polynomial",
     "moving_walk_qed",
     "moving_walk_rho",
     "qprocess_closed_form",
@@ -174,34 +173,14 @@ def closed_form_spectrum(p: float, K: int) -> ChebyshevEigenSystem:
     return ChebyshevEigenSystem(p, K, eigenvalues, left, right, nu, xi)
 
 
-def characteristic_polynomial(p: float, K: int) -> np.ndarray:
-    """Coefficients (highest degree first) of det(Q_K - X I).
-
-    Built from the recursion P_{K+2} = -X P_{K+1} - p(1-p) P_K with
-    P_0 = 1 and P_1 = -X; rescaling by powers of the off-diagonal product
-    turns it into the Chebyshev recursion of the second kind, which is
-    where the cosine spectrum comes from.
-    """
-    RandomWalkSpec(p, K=K)
-    pq = p * (1.0 - p)
-    prev = np.array([1.0])            # P_0
-    cur = np.array([-1.0, 0.0])       # P_1 = -X
-    if K == 0:
-        return prev
-    for _ in range(K - 1):
-        shifted = -np.concatenate([cur, [0.0]])          # -X * P_{k+1}
-        padded = np.concatenate([np.zeros(len(shifted) - len(prev)), prev])
-        nxt = shifted - pq * padded
-        prev, cur = cur, nxt
-    return cur
-
-
 def char_poly_eval(p: float, K: int, x) -> np.ndarray:
     """Evaluate det(Q_K - x I) through the recursion itself.
 
-    Running the two-term recursion at the point is numerically stable
-    (Clenshaw style), unlike expanding to monomial coefficients first, so
-    this is the evaluator to use when locating roots precisely.
+    The recursion is P_{K+2} = -x P_{K+1} - p(1-p) P_K with P_0 = 1 and
+    P_1 = -x; rescaling by powers of the off-diagonal product turns it
+    into the Chebyshev recursion of the second kind, which is where the
+    cosine spectrum comes from.  Running it at the point is numerically
+    stable (Clenshaw style), unlike expanding to monomial coefficients.
     """
     RandomWalkSpec(p, K=K)
     x = np.asarray(x, dtype=float)

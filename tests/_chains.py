@@ -155,6 +155,34 @@ def random_problem(rng, n_states=None, gamma=None) -> AbsorbedChainProblem:
         return problem
 
 
+def lift_by_phase(problem: AbsorbedChainProblem):
+    """Lifted survivors and survivor matrix, assembled one phase block at a time.
+
+    Reference for the library's lift: the full (state, phase) space in
+    phase-major order minus the lifted killing set, and for each phase k
+    the kernel block from the phase-k survivors to the phase-(k+1)
+    survivors, located label by label.
+    """
+    space = problem.space
+    gamma = problem.gamma
+    P = problem.kernel.normalized()
+    states = [(x, k) for k in range(gamma) for x in space.labels]
+    killed = {(x, k) for k in range(gamma) for x in problem.boundary.killing_set(k)}
+    survivors = tuple(s for s in states if s not in killed)
+    Q = np.zeros((len(survivors), len(survivors)))
+    by_phase: dict[int, list[int]] = {}
+    for i, (_, k) in enumerate(survivors):
+        by_phase.setdefault(k, []).append(i)
+    for k in range(gamma):
+        rows = by_phase.get(k, [])
+        cols = by_phase.get((k + 1) % gamma, [])
+        if rows and cols:
+            src = [space.index(survivors[i][0]) for i in rows]
+            dst = [space.index(survivors[j][0]) for j in cols]
+            Q[np.ix_(rows, cols)] = P[np.ix_(src, dst)]
+    return survivors, Q
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------

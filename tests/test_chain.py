@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qergodic
 from qergodic import (
     AbsorbedChainProblem,
     Distribution,
@@ -9,15 +10,41 @@ from qergodic import (
     StateSpace,
     TransitionKernel,
     ValidationError,
+    build_qprocess,
+    build_qprocess_dominant,
+    finite_horizon_qlaw,
     lift_chain,
     loads_problem,
+    mean_ratio_curve,
     moving_walk,
     problem_from_dict,
     problem_to_dict,
+    qed_moving,
+    qld_cycle,
+    save_problem,
     survivor_restriction,
     validate_problem,
 )
-from _chains import n3_walk, random_problem
+from qergodic import chain, cli, conditioning, qed, qprocess, spectral
+from qergodic.cli import main
+from _chains import lift_by_phase, n3_walk, random_problem
+
+
+@pytest.fixture()
+def decompositions(monkeypatch):
+    """Arguments of every decompose_classes call, through any module binding."""
+    original = spectral.decompose_classes
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (qergodic, chain, spectral, qed, qprocess, conditioning, cli):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def test_state_space_rejects_duplicates():
@@ -38,6 +65,19 @@ def test_validate_reports_non_stochastic_row():
     )
     report = validate_problem(broken)
     assert any("kernel row not stochastic" in v for v in report)
+
+
+def test_lift_rejects_non_stochastic_row_before_lifting(decompositions):
+    prob = n3_walk()
+    bad = prob.kernel.matrix.copy()
+    bad[3, 2] = 0.4
+    broken = AbsorbedChainProblem(
+        prob.space, TransitionKernel(bad), prob.boundary, prob.initial
+    )
+    with pytest.raises(ValidationError) as info:
+        lift_chain(broken)
+    assert info.value.violations == validate_problem(broken)
+    assert decompositions == []
 
 
 def test_validate_reports_empty_survival_set():
@@ -69,8 +109,9 @@ def test_validate_reports_no_absorption():
 
 def test_lift_moving_walk_counts():
     lifted = lift_chain(n3_walk())
-    assert len(lifted.states) == 14
-    assert len(lifted.boundary_states) == 6
+    pairs = [(x, k) for k in range(2) for x in lifted.problem.space.labels]
+    assert len(pairs) == 14
+    assert sum(s not in lifted.survivor_index for s in pairs) == 6
     assert len(lifted.survivors) == 8
     expected = {(str(x), 0) for x in range(1, 6)} | {(str(x), 1) for x in (2, 3, 4)}
     assert set(lifted.survivors) == expected
@@ -121,6 +162,46 @@ def test_lift_projects_to_one_step_law():
         np.testing.assert_array_equal(block, P)
     sums = lifted.matrix.sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_survivor_matrix_matches_per_phase_assembly(seed):
+    problem = random_problem(np.random.default_rng(seed))
+    lifted = lift_chain(problem)
+    survivors, Q = lift_by_phase(problem)
+    assert lifted.survivors == survivors
+    assert lifted.survivor_matrix.shape == Q.shape
+    assert lifted.survivor_matrix.tobytes() == Q.tobytes()
+
+
+F = {"3": 1.0}
+ENTRY_POINTS = {
+    "qed_moving": lambda problem, spec: qed_moving(problem, F),
+    "build_qprocess": lambda problem, spec: build_qprocess(problem, "3"),
+    "build_qprocess_dominant": lambda problem, spec: build_qprocess_dominant(problem),
+    "mean_ratio_curve": lambda problem, spec: mean_ratio_curve(problem, F, [5, 10]),
+    "finite_horizon_qlaw": lambda problem, spec: finite_horizon_qlaw(
+        problem, "3", ["4", "3"], 10
+    ),
+    "cli_analyze": lambda problem, spec: main(
+        ["analyze", "--in", str(spec), "--out", str(spec.with_name("report.json"))]
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_each_call_decomposes_once(entry, decompositions, tmp_path):
+    problem = n3_walk()
+    spec = tmp_path / "walk.json"
+    save_problem(problem, spec)
+    ENTRY_POINTS[entry](problem, spec)
+    assert len(decompositions) == 1
+
+
+def test_qld_cycle_does_not_decompose(decompositions):
+    qld_cycle(n3_walk())
+    assert decompositions == []
 
 
 def test_survivor_restriction_k2_matrix():

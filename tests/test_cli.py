@@ -152,6 +152,25 @@ def test_oracle_requires_f(walk_file, capsys):
     assert code == 1
 
 
+def test_non_numeric_f_value_exits_one(walk_file, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"3": "high"}))
+    code = main(["qed", "--in", str(walk_file), "--f", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'high'" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_zero_horizon_exits_one(walk_file, f_file, tmp_path, capsys):
+    out = tmp_path / "oracle.json"
+    code = main(["oracle", "--in", str(walk_file), "--f", str(f_file), "--n", "0",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --n must be a positive horizon")
+    assert not out.exists()
+
+
 def test_simulate_report(walk_file, f_file, tmp_path):
     out = tmp_path / "sim.json"
     code = main(

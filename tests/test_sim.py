@@ -74,7 +74,7 @@ def test_tau_equals_lifted_hitting_time():
             if path[t] < 0:
                 break
             state = (problem.space.labels[path[t]], t % problem.gamma)
-            if state in lifted.boundary_states:
+            if state not in lifted.survivor_index:
                 lifted_tau = t
                 break
         assert lifted_tau == tau

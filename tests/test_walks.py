@@ -5,7 +5,6 @@ from qergodic import (
     RandomWalkSpec,
     ValidationError,
     build_walk,
-    characteristic_polynomial,
     closed_form_spectrum,
     fixed_walk,
     lift_chain,
@@ -104,20 +103,11 @@ def test_closed_form_matches_dense_solver():
             assert np.max(np.abs(numeric - closed)) <= 1e-10
 
 
-def test_characteristic_polynomial_base_cases():
-    np.testing.assert_allclose(characteristic_polynomial(0.3, 1), [-1.0, 0.0])
-    np.testing.assert_allclose(
-        characteristic_polynomial(0.3, 2), [1.0, 0.0, -0.21]
-    )
-
-
 def test_characteristic_polynomial_matches_determinant():
     for p, K in ((0.4, 3), (0.7, 5)):
-        coeffs = characteristic_polynomial(p, K)
         x = np.linspace(-1, 1, 7)
         Q = survivor_matrix_fixed(p, K)
         dets = [np.linalg.det(Q - xi * np.eye(K)) for xi in x]
-        np.testing.assert_allclose(np.polyval(coeffs, x), dets, atol=1e-12)
         np.testing.assert_allclose(char_poly_eval(p, K, x), dets, atol=1e-12)
 
 
