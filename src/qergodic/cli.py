@@ -4,9 +4,10 @@ One subcommand per analysis; every run emits a JSON report (stdout or
 --out) embedding the input digest, the seed and the tool version, plus
 CSV tables next to the report where a table is the natural output.
 
-Exit codes: 0 success, 1 malformed input or usage error, 2 analysis
-diagnostics (ambiguous dominant class, null conditioning event, no
-surviving trajectories, non-convergence).
+Exit codes: 0 success, 1 malformed input, usage error or a reader that
+closed the output early (quietly, as Python itself exits on EPIPE), 2
+analysis diagnostics (ambiguous dominant class, null conditioning event,
+no surviving trajectories, non-convergence).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -369,7 +371,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`).  Point stdout at
+        # /dev/null so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_MALFORMED
     except (ValidationError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

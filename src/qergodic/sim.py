@@ -5,6 +5,13 @@ computed with a counter-based 64-bit mixer.  Trajectories therefore do
 not share state: shards only partition the index range, so any shard
 layout reproduces the same paths bit for bit, and headline statistics are
 reduced once over per-trajectory arrays to keep them layout-independent.
+
+Each step draws a successor by inverse CDF over the positive entries of
+the current row only: a bisection over that row's running sums, so a step
+costs O(paths · log deg) for rows with at most deg positive entries.  The
+running sums are the dense row cumsums with the zero entries dropped, and
+adding 0.0 is exact, so every draw equals the first-column-above-u search
+over the full dense row.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ LOW_SAMPLE_THRESHOLD = 100
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_CHUNK = 1 << 15
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -52,14 +58,45 @@ def _uniforms(seed: int, traj: np.ndarray, step: int) -> np.ndarray:
     return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def _sample_rows(cumulative: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Draw one transition per trajectory from row-wise cumulative sums."""
-    out = np.empty(states.shape[0], dtype=np.int64)
-    for lo in range(0, states.shape[0], _CHUNK):
-        hi = lo + _CHUNK
-        rows = cumulative[states[lo:hi]]
-        out[lo:hi] = np.argmax(rows > u[lo:hi, None], axis=1)
-    return out
+class _RowSampler:
+    """Inverse-CDF draws from the rows of a row-stochastic matrix, each of
+    which has a positive entry.
+
+    Stores, CSR-style, the column of each positive entry and the running
+    sum of its row up to it.  Each row is summed on its own, left to right,
+    so the sums equal the dense row cumsums bit for bit; the last positive
+    entry of each row is set to 1.0, so a u above a row's rounded total
+    still lands on a column with positive probability.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        rows, cols = np.nonzero(matrix > 0.0)
+        counts = np.bincount(rows, minlength=matrix.shape[0])
+        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.indices = cols
+        slot = np.arange(rows.size) - self.indptr[rows]
+        block = np.zeros((matrix.shape[0], int(counts.max())))
+        block[rows, slot] = matrix[rows, cols]
+        self.cumulative = np.cumsum(block, axis=1)[rows, slot]
+        self.cumulative[self.indptr[1:] - 1] = 1.0
+        self._halvings = int(counts.max() - 1).bit_length()
+
+    def draw(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Column of the first positive entry of row ``states[i]`` whose
+        running sum is strictly greater than ``u[i]``, for u in [0, 1)."""
+        lo = self.indptr[states]
+        hi = self.indptr[states + 1] - 1
+        for _ in range(self._halvings):
+            mid = (lo + hi) >> 1
+            above = self.cumulative[mid] > u
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid + 1)
+        return self.indices[lo]
+
+
+def _path_dtype(n_states: int) -> np.dtype:
+    """Smallest signed type, at least int16, holding -1 and every state index."""
+    return np.promote_types(np.int16, np.min_scalar_type(-n_states))
 
 
 @dataclass(frozen=True)
@@ -137,9 +174,7 @@ class ConditionalEstimates:
 def _engine(problem: AbsorbedChainProblem, config: SimConfig, fvec, record_paths: bool):
     space = problem.space
     gamma = problem.gamma
-    P = problem.kernel.normalized()
-    cumulative = np.cumsum(P, axis=1)
-    cumulative[:, -1] = 1.0
+    sampler = _RowSampler(problem.kernel.normalized())
     killed = np.zeros((gamma, space.size), dtype=bool)
     for k in range(gamma):
         for x in problem.boundary.killing_set(k):
@@ -148,15 +183,16 @@ def _engine(problem: AbsorbedChainProblem, config: SimConfig, fvec, record_paths
     init = problem.initial.to_array(space)
     if np.any(init < 0.0) or init.sum() <= 0.0:
         raise ValidationError("initial law must be nonnegative with positive mass")
-    init_cum = np.cumsum(init / init.sum())
-    init_cum[-1] = 1.0
+    initial_sampler = _RowSampler((init / init.sum())[None, :])
 
     n_traj, horizon = config.trajectories, config.horizon
     tau = np.full(n_traj, -1, dtype=np.int64)
     final_state = np.full(n_traj, -1, dtype=np.int64)
     fsum = np.zeros(n_traj) if fvec is not None else None
     paths = (
-        np.full((n_traj, horizon + 1), -1, dtype=np.int16) if record_paths else None
+        np.full((n_traj, horizon + 1), -1, dtype=_path_dtype(space.size))
+        if record_paths
+        else None
     )
     survivor_counts = np.zeros(horizon + 1, dtype=np.int64)
     law_counts = np.zeros((horizon + 1, space.size), dtype=np.int64)
@@ -164,8 +200,7 @@ def _engine(problem: AbsorbedChainProblem, config: SimConfig, fvec, record_paths
     for lo, hi in config.shard_ranges():
         idx = np.arange(lo, hi, dtype=np.uint64)
         u0 = _uniforms(config.seed, idx, 0)
-        states = np.searchsorted(init_cum, u0, side="right").astype(np.int64)
-        states = np.minimum(states, space.size - 1)
+        states = initial_sampler.draw(np.zeros(hi - lo, dtype=np.int64), u0)
         alive_idx = np.arange(lo, hi, dtype=np.int64)
 
         dead_now = killed[0, states]
@@ -187,7 +222,7 @@ def _engine(problem: AbsorbedChainProblem, config: SimConfig, fvec, record_paths
             if fvec is not None:
                 fsum[alive_idx] += fvec[states]
             u = _uniforms(config.seed, alive_idx.astype(np.uint64), t)
-            states = _sample_rows(cumulative, states, u)
+            states = sampler.draw(states, u)
             if record_paths:
                 paths[alive_idx, t] = states
             dead_now = killed[t % gamma, states]
@@ -280,11 +315,8 @@ def simulate_qprocess(
         raise ValidationError(f"state {x!r} at phase 0 is not in the kernel's class")
     gamma = kernel.gamma
     slices = [kernel.slice_for(n) for n in range(gamma)]
-    cums = []
-    for sl in slices:
-        c = np.cumsum(sl.matrix, axis=1)
-        c[:, -1] = 1.0
-        cums.append(c)
+    samplers = [_RowSampler(sl.matrix) for sl in slices]
+    col_labels = [np.array(sl.col_states, dtype=object) for sl in slices]
     row_maps = [
         {lab: i for i, lab in enumerate(sl.row_states)} for sl in slices
     ]
@@ -297,18 +329,13 @@ def simulate_qprocess(
         for n in range(gamma)
     ]
 
-    start_col = slices[0].col_states.index(x)
-    cur_col = np.full(paths, start_col, dtype=np.int64)
-    history = np.empty((paths, steps + 1), dtype=np.int64)
-    history[:, 0] = start_col
+    cur_col = np.full(paths, slices[0].col_states.index(x), dtype=np.int64)
+    history = np.empty((paths, steps + 1), dtype=object)
+    history[:, 0] = x
     traj = np.arange(paths, dtype=np.uint64)
     for t in range(1, steps + 1):
-        sl = t % gamma
         rows = col_to_row[(t - 1) % gamma][cur_col]
         u = _uniforms(seed, traj, t)
-        cur_col = np.argmax(cums[sl][rows] > u[:, None], axis=1)
-        history[:, t] = cur_col
-    return [
-        [slices[t % gamma].col_states[int(history[i, t])] for t in range(steps + 1)]
-        for i in range(paths)
-    ]
+        cur_col = samplers[t % gamma].draw(rows, u)
+        history[:, t] = col_labels[t % gamma][cur_col]
+    return history.tolist()

@@ -183,6 +183,19 @@ def lift_by_phase(problem: AbsorbedChainProblem):
     return survivors, Q
 
 
+def dense_draw(matrix: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws by a search over full dense rows.
+
+    Reference for the library's sparse sampler: the running sum of each
+    whole row, with 1.0 forced at the row's last positive entry, and the
+    first column whose running sum is strictly greater than u.
+    """
+    cumulative = np.cumsum(matrix, axis=1)
+    for i, row in enumerate(matrix):
+        cumulative[i, np.flatnonzero(row > 0.0)[-1]] = 1.0
+    return np.argmax(cumulative[states] > u[:, None], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------

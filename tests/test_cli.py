@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,3 +199,22 @@ def test_oracle_and_qed_agree(walk_file, f_file, tmp_path, capsys):
     main(["qed", "--in", str(walk_file), "--f", str(f_file)])
     qed = json.loads(capsys.readouterr().out)
     assert abs(oracle["mean_ratio"] - qed["phi_of_f"]) <= 1e-2
+
+
+def test_reader_closing_the_pipe_early_is_quiet():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # about 4 MB of JSON, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qergodic.cli", "randomwalk", "--p", "0.5", "--N", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

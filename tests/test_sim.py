@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qergodic import (
     AbsorbedChainProblem,
@@ -20,7 +22,8 @@ from qergodic import (
     survival_coefficient,
     survival_curve,
 )
-from _chains import n3_walk, symmetric_slow_chain
+from qergodic.sim import _path_dtype, _RowSampler
+from _chains import dense_draw, n3_walk, symmetric_slow_chain
 
 
 def suicide_chain():
@@ -202,3 +205,67 @@ def test_qprocess_simulation_never_absorbed_and_respects_parity():
             assert (int(label) + t) % 2 == 1
     total_steps = sum(len(p) - 1 for p in paths)
     assert total_steps == 1_000_000
+
+
+@st.composite
+def sparse_rows_and_draws(draw):
+    """A random sparse row-stochastic matrix, rows to draw from and their u.
+
+    Each u is 0.0, the largest u below 1, one of its row's running sums
+    (a tie, which must move right) or any float in [0, 1).
+    """
+    n_rows = draw(st.integers(1, 5))
+    n_cols = draw(st.integers(1, 8))
+    matrix = np.zeros((n_rows, n_cols))
+    for i in range(n_rows):
+        support = draw(
+            st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=n_cols, unique=True)
+        )
+        weights = draw(
+            st.lists(st.floats(1e-3, 1.0), min_size=len(support), max_size=len(support))
+        )
+        matrix[i, support] = weights
+        matrix[i] /= matrix[i].sum()
+    states = np.array(
+        draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=20))
+    )
+    u = []
+    for row in states:
+        sums = np.cumsum(matrix[row])
+        ties = [0.0, 1.0 - 2.0**-53, *sums[sums < 1.0]]
+        u.append(
+            draw(st.one_of(st.sampled_from(ties), st.floats(0.0, 1.0, exclude_max=True)))
+        )
+    return matrix, states, np.array(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows_and_draws())
+@example(
+    (
+        # leading and trailing zero columns, a row total rounded below
+        # 1 - 2**-53, and a row with one positive entry
+        np.array([[0.0, 0.7, 0.0, 0.2, 0.1, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]]),
+        np.array([0, 0, 0, 0, 1, 1]),
+        np.array([0.0, 0.7, 0.5, 1.0 - 2.0**-53, 0.0, 1.0 - 2.0**-53]),
+    )
+)
+def test_sampler_matches_dense_search(case):
+    matrix, states, u = case
+    drawn = _RowSampler(matrix).draw(states, u)
+    np.testing.assert_array_equal(drawn, dense_draw(matrix, states, u))
+    assert np.all(matrix[states, drawn] > 0.0)
+
+
+def test_sampler_tail_lands_on_last_positive_entry():
+    row = np.array([[0.7, 0.2, 0.1, 0.0]])
+    u = np.array([1.0 - 2.0**-53])
+    # the row's rounded total is not above u, so no running sum exceeds it
+    assert np.cumsum(row)[-1] <= u[0]
+    assert _RowSampler(row).draw(np.array([0]), u).tolist() == [2]
+
+
+def test_path_dtype_holds_every_state_index():
+    assert _path_dtype(401) == np.int16
+    dtype = _path_dtype(40_000)
+    assert np.array([-1, 39_999]).astype(dtype).tolist() == [-1, 39_999]
