@@ -139,6 +139,7 @@ def cmd_analyze(args) -> int:
                 "rho": cls.rho,
                 "nu": cls.nu.tolist(),
                 "xi": cls.xi.tolist(),
+                "rho_bracket": list(cls.rho_bracket),
                 "residuals": {
                     "nu": cls.nu_residual,
                     "xi": cls.xi_residual,

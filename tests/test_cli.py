@@ -86,6 +86,9 @@ def test_analyze_report_structure(walk_file, tmp_path):
     assert len(report["classes"]) == 2
     for cls in report["classes"]:
         assert {"states", "period", "cyclic_classes", "rho", "nu", "xi", "residuals"} <= set(cls)
+        lo, hi = cls["rho_bracket"]
+        slack = 4.0 * np.spacing(cls["rho"])
+        assert lo - slack <= cls["rho"] <= hi + slack
 
 
 def test_qed_report(walk_file, f_file, tmp_path, capsys):

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qergodic import (
     ValidationError,
+    build_qprocess_dominant,
     decompose_classes,
     lift_chain,
+    moving_walk,
+    moving_walk_qed,
     moving_walk_rho,
     peripheral_system,
     perron_data,
+    qed_moving,
+    qprocess_closed_form,
     spectral_radius,
     survival_coefficient,
     verify_eigenprojection,
@@ -261,6 +266,8 @@ def test_rho_matches_moving_walk_closed_form():
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(seed=2407)
+@example(seed=2560)
 def test_class_invariants_on_random_problems(seed):
     rng = np.random.default_rng(seed)
     problem = random_problem(rng)
@@ -277,6 +284,47 @@ def test_class_invariants_on_random_problems(seed):
         assert cls.nu_residual <= 1e-10
         assert cls.xi_residual <= 1e-10
         if cls.rho > 0.0:
+            lo, hi = cls.rho_bracket
+            slack = 4.0 * np.spacing(cls.rho)
+            assert lo - slack <= cls.rho <= hi + slack
+            assert hi - lo <= 1e-10 * cls.rho
             for n in range(2 * cls.period):
                 for s in cls.states:
                     assert survival_coefficient(cls, s, n) > 0.0
+
+
+@pytest.mark.parametrize("p, N", [(0.45, 100), (0.45, 200), (0.1, 150)])
+def test_long_walk_matches_closed_forms(p, N):
+    # xi spans e^20, e^40 and e^327 from end to end; a solver that loses
+    # the relative accuracy of its smallest entries misses the q-process,
+    # which divides neighbouring entries of xi, or never closes its bracket
+    problem = moving_walk(p, N, initial=str(N + 1))
+    kernel = build_qprocess_dominant(problem)
+    closed = qprocess_closed_form(p, N, "odd")
+    for sl, cf in zip(kernel.slices, closed.slices):
+        assert sl.row_states == cf.row_states
+        assert sl.col_states == cf.col_states
+        assert np.max(np.abs(sl.matrix - cf.matrix)) <= 1e-10
+    result = qed_moving(problem)
+    expected = moving_walk_qed(N, "odd").weights
+    got = result.eta_distribution.weights
+    tv = 0.5 * sum(abs(got.get(x, 0.0) - w) for x, w in expected.items())
+    assert tv <= 1e-9
+    assert result.rho == pytest.approx(moving_walk_rho(p, N, "odd"), rel=1e-12)
+
+
+def test_perron_solve_takes_few_dense_solves(monkeypatch):
+    # a dense class stalls a few ulps short of closing its bracket, and the
+    # iteration stops there instead of running to its step cap
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b)
+    )
+    rng = np.random.default_rng(3)
+    P = rng.dirichlet(np.full(60, 0.5), size=60) * rng.uniform(0.5, 1.0, (60, 1))
+    cls = perron_data(P, range(60))
+    assert len(calls) <= 30
+    lo, hi = cls.rho_bracket
+    assert hi - lo <= 1e-10 * cls.rho
+    assert cls.rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(P))), rel=1e-12)
