@@ -26,9 +26,10 @@ for (phase, eigenvalue, dist), gap in zip(search.eigen_candidates, search.eigen_
           f"worst displacement {gap:.4f}")
 print(f"  common fixed point found: {search.has_common_fixed_point}\n")
 
-print("Iterating the conditioned evolution to its limit cycle...")
+print("Reading the limit cycle off the peripheral eigensystem...")
 cycle = qld_cycle(problem)
-print(f"  cycle length: {cycle.period} (settled after {cycle.iterations} steps)")
+print(f"  cycle length: {cycle.period} (certified by {cycle.iterations} "
+      "conditioned steps)")
 for offset, dist in zip(cycle.offsets, cycle.distributions):
     weights = {k: round(v, 4) for k, v in sorted(dist.weights.items())}
     print(f"  times = {offset} mod {cycle.period}: {weights}")

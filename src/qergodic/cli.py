@@ -181,7 +181,7 @@ def cmd_qed(args) -> int:
 
 def cmd_qld_cycle(args) -> int:
     problem = load_problem(args.input)
-    cycle = qld_cycle(problem, tol=args.tol)
+    cycle = qld_cycle(problem)
     report = {
         "meta": _meta(args, "qld-cycle"),
         "period": cycle.period,
@@ -329,7 +329,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("qld-cycle", help="limit cycle of the conditioned laws")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_qld_cycle)
 
     p = sub.add_parser("qprocess", help="kernel of the chain conditioned to survive")

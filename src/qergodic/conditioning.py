@@ -4,19 +4,23 @@ The one-step map pushes a law through the kernel and conditions on
 landing outside the killing set of the target phase.  Composing it
 reproduces the law of the chain at time n conditioned to be alive, which
 is cross-checked against lifted matrix powers.  The module also builds
-the homogeneous chain observed every ``gamma`` steps, detects the limit
-cycle of conditioned laws (certifying when no single limit exists), and
-provides an exact, eigenvalue-free recursion for conditioned time-average
-expectations used as ground truth throughout the test suite.
+the homogeneous chain observed every ``gamma`` steps, reads the limit
+cycle of conditioned laws off the peripheral eigensystem (certifying
+when no single limit exists), and provides an exact, eigenvalue-free
+recursion for conditioned time-average expectations used as ground truth
+throughout the test suite.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import comb
+from itertools import combinations
+from math import comb, lcm
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from .chain import (
     AbsorbedChainProblem,
@@ -24,7 +28,8 @@ from .chain import (
     lift_chain,
     survivor_restriction,
 )
-from .errors import ConvergenceError, NullEventError, ValidationError
+from .errors import ConvergenceError, Hypothesis1Error, NullEventError, ValidationError
+from .spectral import RHO_TIE_RTOL
 
 __all__ = [
     "CollapsedChain",
@@ -46,6 +51,8 @@ __all__ = [
 # Below this ceiling the survival vectors are jointly rescaled; the
 # conditioned ratios are scale-invariant so the answers do not change.
 _RESCALE_FLOOR = 1e-100
+
+_SAME_LAW_TV = 1e-9  # laws this close in TV are equal (cycle period, certificate)
 
 
 def state_function(problem: AbsorbedChainProblem, f) -> np.ndarray:
@@ -192,11 +199,12 @@ def collapsed_chain(
 
 @dataclass(frozen=True, eq=False)
 class QldCycle:
-    """Limit cycle of the conditioned laws, with convergence diagnostics.
+    """Limit cycle of the conditioned laws, with its certificate.
 
     ``distributions[i]`` is the limit of the conditioned laws along times
     congruent to ``offsets[i]`` modulo the cycle length; the last element
-    sits at a multiple of the period.  A single limiting law exists only
+    sits at a multiple of the period.  ``iterations`` counts the certifying
+    conditioned steps, one per element.  A single limiting law exists only
     when all cycle elements coincide, which ``qld_exists`` reports.
     """
 
@@ -215,107 +223,95 @@ class QldCycle:
         return "no quasi-limiting distribution: conditioned laws cycle"
 
 
-def qld_cycle(
-    problem: AbsorbedChainProblem,
-    mu: Distribution | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 10**5,
-    existence_tol: float = 1e-9,
-) -> QldCycle:
-    """Iterate the conditioned evolution until it settles on a cycle.
+def _peripheral_laws(lifted, i: int, live: set[int], T: int) -> np.ndarray:
+    """Lifted laws ``mu Pi_r``, r < T, of the peripheral projector of class i.
 
-    The conditioned laws are asymptotically periodic; the cycle length is
-    a multiple of ``gamma`` (it also has to absorb the period of the
-    dominant class).  Detection requires a full cycle of consecutive
-    iterates to repeat within ``tol`` in total variation, anchored at a
-    multiple of the cycle length, and then confirms one more period.
+    ``Pi_r = sum_k omega_k^r r_k l_k``, with ``r_k = (lambda_k - Q_UU)^{-1}
+    Q_UD w_k`` on the ancestors U and ``l_k = v_k Q_DW (lambda_k - Q_WW)^{-1}``
+    on the descendants W, sums over k to ``T_i sum_j R_j L_{j+r}``: ``xi``
+    and ``nu`` on the cyclic class C_j, ``rho R_j = Q R_{j+1}`` on U and
+    ``rho L_{j+1} = L_j Q`` on W (nonsingular, as U and W decay faster).
+    The terms are nonnegative, so no rounding lands on uncharged states.
     """
+    dec, Q = lifted.decomposition, lifted.survivor_matrix
+    mu = lifted.normalized_initial()
+    cls = dec.classes[i]
+    R, L = np.zeros((2, cls.period, len(mu)))
+    cyc = [cls.cyclic_index(s) for s in cls.states]
+    R[cyc, list(cls.states)], L[cyc, list(cls.states)] = cls.xi, cls.nu
+
+    def solve(A, B, shift):  # rho Y[j] - A Y[j + shift] = B[j], j mod T_i
+        cyclic = sparse.kron(np.roll(np.eye(len(B)), shift, axis=1), A)
+        M = sparse.csc_matrix(cls.rho * sparse.identity(B.size) - cyclic)
+        return spsolve(M, B.ravel()).reshape(B.shape) if B.size else B
+
+    up = [a for a in live if i in dec.reachable_from({a})]
+    U = np.flatnonzero(np.isin(dec.class_of, up))
+    W = np.flatnonzero(np.isin(dec.class_of, list(dec.reachable_from({i}))))
+    R_U = solve(Q[np.ix_(U, U)], np.roll(R, -1, axis=0) @ Q[U].T, 1)
+    L[:, W] = solve(Q[np.ix_(W, W)].T, np.roll(L, 1, axis=0) @ Q[:, W], -1)
+    weights = cls.period * (R @ mu + R_U @ mu[U])
+    return np.array([weights @ np.roll(L, -r, axis=0) for r in range(T)])
+
+
+def qld_cycle(problem: AbsorbedChainProblem) -> QldCycle:
+    """Limit cycle of the conditioned laws, read off the peripheral eigensystem.
+
+    The classes reachable from the initial law that tie for the largest
+    decay rate set the asymptotics (Darroch & Seneta, J. Appl. Prob. 2,
+    1965): with ``T`` the lcm of their periods, the law at times ``r mod T``
+    sums their ``mu Pi_r``, phase summed out.  The period is the shortest
+    multiple of ``gamma`` dividing ``T`` whose shift leaves every law alone.
+    Raises NullEventError when the largest rate is 0, Hypothesis1Error
+    when one tied class reaches another, and ConvergenceError when a
+    conditioned step from a cycle element misses the next one.
+    """
+    lifted = lift_chain(problem)
+    dec = lifted.decomposition
+    charged = set(dec.class_of[lifted.initial_vector > 0.0].tolist())
+    live = charged | dec.reachable_from(charged)
+    rho_max = max(dec.classes[i].rho for i in live)
+    if rho_max <= 0.0:
+        raise NullEventError("no class reachable from the initial law survives forever")
+    floor = rho_max * (1.0 - RHO_TIE_RTOL)
+    tied = [i for i in sorted(live) if dec.classes[i].rho >= floor]
+    if any(dec.reachable_from({i}) & set(tied) for i in tied):
+        msg = f"classes {tied} tie for the largest decay rate {rho_max:.12g}"
+        raise Hypothesis1Error(f"{msg} and one of them reaches another", tied)
+    T = lcm(*(dec.classes[i].period for i in tied))
     gamma = problem.gamma
-    n_lifted = sum(len(problem.survivors(k)) for k in range(gamma))
-    r_cap = max(1, n_lifted // gamma) + 1
-    window = 2 * (r_cap + 1) * gamma + 1
+    lifted_laws = sum(_peripheral_laws(lifted, i, live, T) for i in tied)
+    lifted_laws *= [[k == r % gamma for _, k in lifted.survivors] for r in range(T)]
+    laws = np.zeros((T, problem.space.size))
+    state = [problem.space.index(x) for x, _ in lifted.survivors]
+    np.add.at(laws, (slice(None), state), np.maximum(lifted_laws, 0.0))
+    laws /= laws.sum(axis=1, keepdims=True)
 
-    P = problem.kernel.normalized()
-    vec = _initial_vector(problem, mu)
-    history: list[np.ndarray] = [vec]
+    def repeats(p):  # every law equals the one p steps later
+        return np.abs(laws - np.roll(laws, p, 0)).sum(1).max() / 2 <= _SAME_LAW_TV
 
-    def tv(a: np.ndarray, b: np.ndarray) -> float:
-        return 0.5 * float(np.abs(a - b).sum())
-
-    def block_matches(n_local: int, length: int) -> bool:
-        # history index of absolute time t is t - (n_local - len + 1)
-        def at(t: int) -> np.ndarray:
-            return history[t - (n_local - len(history) + 1)]
-
-        lo = n_local - 2 * length + 1
-        if lo < n_local - len(history) + 1:
-            return False
-        return all(
-            tv(at(n_local - k), at(n_local - length - k)) <= tol
-            for k in range(length)
+    period = next(p for p in range(gamma, T + 1, gamma) if T % p == 0 and repeats(p))
+    cycle = tuple(
+        Distribution.from_array(problem.space, v) for v in np.roll(laws[:period], -1, 0)
+    )
+    following = cycle[1:] + cycle[:1]
+    residual = max(
+        conditional_step(problem, a, (i + 2) % gamma).tv_distance(b)
+        for i, (a, b) in enumerate(zip(cycle, following))
+    )
+    if not residual <= _SAME_LAW_TV:
+        raise ConvergenceError(
+            f"a conditioned step moves the cycle by {residual:.3g} in TV", residual
         )
-
-    detected: tuple[int, int] | None = None
-    n = 0
-    last_diff = np.inf
-    while n < max_iter:
-        n += 1
-        vec = _step_vector(problem, P, vec, n % gamma)
-        history.append(vec)
-        if len(history) > window:
-            history.pop(0)
-        if n % gamma == 0:
-            last_diff = min(
-                last_diff,
-                tv(history[-1], history[-1 - gamma]) if len(history) > gamma else np.inf,
-            )
-        if detected is None and n % gamma == 0:
-            for r in range(1, r_cap + 1):
-                length = r * gamma
-                if n % length == 0 and block_matches(n, length):
-                    detected = (n, length)
-                    break
-        elif detected is not None:
-            n_det, length = detected
-            if n == n_det + length:
-                # confirmation pass over one more period
-                if block_matches(n, length):
-                    offset = n - (n - len(history) + 1)
-                    cycle = [
-                        Distribution.from_array(
-                            problem.space, history[offset - length + 1 + k]
-                        )
-                        for k in range(length)
-                    ]
-                    laws = tuple(cycle)
-                    consecutive = tuple(
-                        laws[i].tv_distance(laws[(i + 1) % length])
-                        for i in range(length)
-                    )
-                    pairwise = max(
-                        (
-                            laws[i].tv_distance(laws[j])
-                            for i in range(length)
-                            for j in range(i + 1, length)
-                        ),
-                        default=0.0,
-                    )
-                    return QldCycle(
-                        distributions=laws,
-                        offsets=tuple(
-                            ((n - length + 1 + k) % length) for k in range(length)
-                        ),
-                        period=length,
-                        iterations=n,
-                        consecutive_tv=consecutive,
-                        max_pairwise_tv=pairwise,
-                        qld_exists=pairwise <= existence_tol,
-                    )
-                detected = None
-    raise ConvergenceError(
-        f"conditioned evolution did not settle on a cycle within {max_iter} "
-        "iterations",
-        residual=last_diff,
+    pairwise = max((a.tv_distance(b) for a, b in combinations(cycle, 2)), default=0.0)
+    return QldCycle(
+        distributions=cycle,
+        offsets=tuple((i + 1) % period for i in range(period)),
+        period=period,
+        iterations=period,
+        consecutive_tv=tuple(a.tv_distance(b) for a, b in zip(cycle, following)),
+        max_pairwise_tv=pairwise,
+        qld_exists=pairwise <= _SAME_LAW_TV,
     )
 
 

@@ -38,7 +38,7 @@ class Hypothesis1Error(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative scheme exhausted its budget before reaching tolerance."""
+    """A numerical result could not be brought to, or certified at, its tolerance."""
 
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)

@@ -17,7 +17,8 @@ import numpy as np
 from .chain import AbsorbedChainProblem, Distribution, LiftedChain, lift_chain
 from .conditioning import state_function
 from .errors import Hypothesis1Error, NullEventError, ValidationError
-from .spectral import ClassDecomposition, IrreducibleClass, decompose_classes
+from .spectral import RHO_TIE_RTOL, ClassDecomposition, IrreducibleClass
+from .spectral import decompose_classes
 
 __all__ = [
     "ClassSelection",
@@ -26,8 +27,6 @@ __all__ = [
     "qed_fixed",
     "qed_moving",
 ]
-
-RHO_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,6 +46,7 @@ __all__ = [
 # N=800, p=0.45), so 300 cover any spread a float64 vector can hold.
 _NODA_MAX_STEPS = 300
 _BRACKET_RTOL = 1e-10
+RHO_TIE_RTOL = 1e-9  # class decay rates this close, relative, tie for the largest
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +193,10 @@ def _noda(A: np.ndarray) -> tuple[np.ndarray, float, float]:
             break
         if hi - lo <= 4.0 * np.spacing(hi):
             break
-        x = x * np.linalg.solve(hi * np.eye(n) - B, np.ones(n))
+        try:
+            x = x * np.linalg.solve(hi * np.eye(n) - B, np.ones(n))
+        except np.linalg.LinAlgError:  # hi is rho to working precision
+            break
         x /= x.sum()
     x, lo, hi = best
     if not hi - lo <= _BRACKET_RTOL * hi:

@@ -120,6 +120,28 @@ def two_copies_tied():
     )
 
 
+def chained_tie():
+    """A loop with rate 0.5 feeding another loop with rate 0.5.
+
+    Both classes tie for the largest decay rate and the first reaches the
+    second, so the conditioned laws have no peripheral limit cycle.
+    """
+    labels = ("a", "b", "trap")
+    P = np.array(
+        [
+            [0.5, 0.25, 0.25],
+            [0.0, 0.5, 0.5],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+    return AbsorbedChainProblem(
+        StateSpace(labels),
+        TransitionKernel(P),
+        MovingBoundary(1, (frozenset({"trap"}),)),
+        Distribution.point_mass("a"),
+    )
+
+
 def random_problem(rng, n_states=None, gamma=None) -> AbsorbedChainProblem:
     """A random valid problem with surviving mass for at least 2 periods."""
     while True:

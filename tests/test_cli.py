@@ -9,7 +9,7 @@ import pytest
 
 from qergodic import load_problem, save_problem
 from qergodic.cli import main
-from _chains import n3_walk, two_copies_tied
+from _chains import chained_tie, n3_walk, two_copies_tied
 
 
 @pytest.fixture()
@@ -121,6 +121,21 @@ def test_qld_cycle_report(walk_file, capsys):
     assert report["qld_exists"] is False
     assert "no quasi-limiting" in report["verdict"]
     assert report["max_pairwise_tv"] == pytest.approx(1.0)
+
+
+def test_qld_cycle_connected_tie_exits_two(tmp_path, capsys):
+    path = tmp_path / "chained.json"
+    save_problem(chained_tie(), path)
+    out = tmp_path / "report.json"
+    code = main(["qld-cycle", "--in", str(path), "--out", str(out)])
+    assert code == 2
+    assert "diagnostic" in capsys.readouterr().err
+    assert json.loads(out.read_text())["error"] == "Hypothesis1Error"
+
+
+def test_qld_cycle_has_no_tolerance_flag(walk_file, capsys):
+    assert main(["qld-cycle", "--in", str(walk_file), "--tol", "1e-6"]) == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_qprocess_report_and_phase_flag(walk_file, capsys):

@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qergodic import (
+    AbsorbedChainProblem,
+    ConvergenceError,
     Distribution,
+    Hypothesis1Error,
+    MovingBoundary,
     NullEventError,
+    StateSpace,
+    TransitionKernel,
     collapsed_chain,
     conditional_law,
     conditional_law_sequence,
@@ -19,12 +25,15 @@ from qergodic import (
     write_conditional_laws_csv,
     write_mean_ratio_csv,
 )
+from qergodic import conditioning
 from _chains import (
+    chained_tie,
     conditional_law_brute,
     k2_walk,
     n3_walk,
     random_problem,
     survival_paths,
+    two_copies_tied,
 )
 
 
@@ -233,6 +242,114 @@ def test_qld_cycle_elements_are_fixed_points_of_composed_map():
             for step in range(1, cycle.period + 1):
                 current = conditional_step(problem, current, (phase + step) % gamma)
             assert current.tv_distance(dist) < 1e-9
+
+
+def _one_step_residual(problem, cycle):
+    """Largest TV miss of a conditioned step from one element to the next."""
+    return max(
+        conditional_step(problem, dist, (offset + 1) % problem.gamma).tv_distance(
+            cycle.distributions[(i + 1) % cycle.period]
+        )
+        for i, (offset, dist) in enumerate(zip(cycle.offsets, cycle.distributions))
+    )
+
+
+def _trap_chain(labels, rows, initial, gamma=1):
+    """Problem on ``labels`` plus an absorbing ``trap`` killed at every phase."""
+    P = np.zeros((len(labels) + 1, len(labels) + 1))
+    P[: len(rows), :] = rows
+    P[-1, -1] = 1.0
+    return AbsorbedChainProblem(
+        StateSpace((*labels, "trap")),
+        TransitionKernel(P),
+        MovingBoundary(gamma, (frozenset({"trap"}),) * gamma),
+        initial,
+    )
+
+
+def _feeder_ring_sink(ring):
+    """Transient start a (self-loop 0.3) -> ring surviving 0.9 a step -> sink d."""
+    labels = ("a", *ring, "d")
+    idx = {x: i for i, x in enumerate(labels)}
+    P = np.zeros((len(labels), len(labels) + 1))
+    P[0, 0], P[0, idx[ring[0]]] = 0.3, 0.4
+    for x, y in zip(ring, ring[1:] + ring[:1]):
+        P[idx[x], idx[y]] = 0.9
+    P[idx[ring[0]], idx["d"]] = 0.05
+    P[idx["d"], idx["d"]] = 0.5
+    P[:, -1] = 1.0 - P.sum(axis=1)
+    return _trap_chain(labels, P, Distribution.point_mass("a"))
+
+
+def test_qld_cycle_long_moving_walk():
+    # stepping the conditioned law until it repeats takes over 1e5 steps here
+    problem = moving_walk(0.45, 200, initial="201")
+    cycle = qld_cycle(problem)
+    assert cycle.period == 2
+    assert cycle.max_pairwise_tv >= 1.0 - 1e-12
+    assert _one_step_residual(problem, cycle) < 1e-12
+
+
+def test_qld_cycle_reports_the_shortest_period():
+    problem = random_problem(np.random.default_rng(560))
+    cycle = qld_cycle(problem)
+    assert cycle.period == 2
+    assert _one_step_residual(problem, cycle) < 1e-12
+    # a period-4 ring under gamma = 2, charged evenly on opposite states:
+    # the laws repeat after 2 steps although the class period is 4
+    ring = [[0.0] * 4 + [0.1] for _ in range(4)]
+    for i in range(4):
+        ring[i][(i + 1) % 4] = 0.9
+    problem = _trap_chain("abcd", ring, Distribution({"a": 0.5, "c": 0.5}), gamma=2)
+    cycle = qld_cycle(problem)
+    assert cycle.period == 2
+    assert [d.support() for d in cycle.distributions] == [{"b", "d"}, {"a", "c"}]
+
+
+def test_qld_cycle_rejects_a_tie_between_connected_classes():
+    with pytest.raises(Hypothesis1Error) as err:
+        qld_cycle(chained_tie())
+    assert err.value.tied_classes == (0, 1)
+
+
+def test_qld_cycle_sums_disconnected_tied_classes():
+    cycle = qld_cycle(two_copies_tied())
+    assert cycle.period == 2
+    assert cycle.max_pairwise_tv == pytest.approx(1.0)
+    assert [d.support() for d in cycle.distributions] == [
+        {"b1", "b2"},
+        {"a1", "a2"},
+    ]
+
+
+@pytest.mark.parametrize("ring", [("b", "c"), ("b", "c", "e")], ids=["period2", "period3"])
+def test_qld_cycle_with_upstream_and_downstream_classes(ring):
+    problem = _feeder_ring_sink(ring)
+    cycle = qld_cycle(problem)
+    assert cycle.period == len(ring)
+    for offset, dist in zip(cycle.offsets, cycle.distributions):
+        assert dist.tv_distance(conditional_law(problem, 600 + offset)) < 1e-9
+    assert all(d.weights["d"] > 0.0 for d in cycle.distributions)
+
+
+def test_qld_cycle_certificate_rejects_a_wrong_cycle(monkeypatch):
+    exact = conditioning._peripheral_laws
+
+    def perturbed(*args):
+        laws = exact(*args)
+        laws[0] *= np.linspace(1.0, 1.01, laws.shape[1])
+        return laws
+
+    monkeypatch.setattr(conditioning, "_peripheral_laws", perturbed)
+    with pytest.raises(ConvergenceError):
+        qld_cycle(n3_walk())
+
+
+def test_qld_cycle_finite_absorption_is_null():
+    rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    problem = _trap_chain(("a", "b"), rows, Distribution.point_mass("a"))
+    with pytest.raises(NullEventError):
+        qld_cycle(problem)
 
 
 def test_exact_mean_ratio_constant_function_is_one():
