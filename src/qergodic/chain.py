@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ValidationError
 from .spectral import ClassDecomposition, decompose_classes
@@ -241,8 +242,9 @@ class LiftedChain:
     One lift serves one analysis call: every array below is built on
     first read and kept.  ``survivors`` lists the lifted states outside
     the lifted killing set in phase-major order; ``survivor_matrix`` is
-    the substochastic one-step matrix on them; ``initial_vector`` carries
-    the problem's initial mass placed at phase 0 (unnormalized);
+    the substochastic one-step matrix on them, and ``survivor_csr`` the
+    same matrix in CSR form for the survival sweeps; ``initial_vector``
+    carries the problem's initial mass placed at phase 0 (unnormalized);
     ``decomposition`` is the class decomposition of ``survivor_matrix``,
     shared by validation and every analysis run on this lift.
     """
@@ -272,6 +274,10 @@ class LiftedChain:
         P = self.problem.kernel.normalized()
         step = (phase[:, None] + 1) % self.gamma == phase[None, :]
         return _frozen_array(P[np.ix_(idx, idx)] * step)
+
+    @cached_property
+    def survivor_csr(self) -> sparse.csr_array:
+        return sparse.csr_array(self.survivor_matrix)
 
     @cached_property
     def initial_vector(self) -> np.ndarray:

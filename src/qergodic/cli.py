@@ -24,12 +24,7 @@ import numpy as np
 
 from . import __version__
 from .chain import Distribution, lift_chain, load_problem, save_problem, validate_problem
-from .conditioning import (
-    mean_ratio_curve,
-    qld_cycle,
-    write_conditional_laws_csv,
-    write_mean_ratio_csv,
-)
+from .conditioning import qld_cycle, write_conditional_laws_csv, write_mean_ratio_csv
 from .errors import (
     ConvergenceError,
     Hypothesis1Error,
@@ -226,10 +221,10 @@ def cmd_oracle(args) -> int:
     f = _load_f(args, problem)
     if f is None:
         raise ValidationError("the oracle needs a state functional: pass --f")
-    value = float(mean_ratio_curve(problem, f, [args.n])[0])
     ratio_csv = _out_sibling(args, "_mean_ratio.csv")
     law_csv = _out_sibling(args, "_conditional_laws.csv")
-    write_mean_ratio_csv(problem, f, args.n, ratio_csv)
+    # the report's value is the CSV's last row, from the same sweep
+    value = float(write_mean_ratio_csv(problem, f, args.n, ratio_csv)[-1])
     write_conditional_laws_csv(problem, min(args.n, 500), law_csv)
     report = {
         "meta": _meta(args, "oracle"),

@@ -8,7 +8,9 @@ the homogeneous chain observed every ``gamma`` steps, reads the limit
 cycle of conditioned laws off the peripheral eigensystem (certifying
 when no single limit exists), and provides an exact, eigenvalue-free
 recursion for conditioned time-average expectations used as ground truth
-throughout the test suite.
+throughout the test suite.  That recursion is one survival sweep over
+the CSR survivor matrix, cost O(n · nnz) to horizon n; the finite-horizon
+q-law in ``qprocess`` runs the same sweep.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ __all__ = [
     "write_mean_ratio_csv",
     "write_conditional_laws_csv",
 ]
-
-# Below this ceiling the survival vectors are jointly rescaled; the
-# conditioned ratios are scale-invariant so the answers do not change.
-_RESCALE_FLOOR = 1e-100
 
 _SAME_LAW_TV = 1e-9  # laws this close in TV are equal (cycle period, certificate)
 
@@ -322,6 +320,33 @@ def _lifted_setup(problem, f):
     return lifted, fvec
 
 
+def _survival_sweep(Q, n_max: int, f=None):
+    """Survival vectors ``u_j = Q^j 1``, j = 0..n_max, on one shared scale.
+
+    Yields ``(j, V, exponent)``: column 0 of ``V`` holds ``u_j``, and
+    column 1, when ``f`` is given, ``s_j = f * u_j + Q s_{j-1}`` (``s_0 =
+    0``), both divided by ``2**exponent``.  Each step divides by the power
+    of two at the peak of u, which is exact and keeps u from underflowing,
+    so values at two horizons compare through their exponents.  One CSR
+    product per step reads ``Q`` once for both columns.
+    """
+    V = np.zeros((Q.shape[0], 1 if f is None else 2))
+    V[:, 0] = 1.0
+    exponent = 0
+    yield 0, V, exponent
+    for j in range(1, n_max + 1):
+        V = Q @ V
+        if f is not None:
+            V[:, 1] += f * V[:, 0]
+        peak = V[:, 0].max()
+        if peak <= 0.0:
+            raise NullEventError(f"no state survives {j} steps; the conditioning is null")
+        shift = int(np.frexp(peak)[1])
+        V = np.ldexp(V, -shift)
+        exponent += shift
+        yield j, V, exponent
+
+
 def exact_mean_ratio(problem: AbsorbedChainProblem, f, n: int) -> float:
     """Conditioned time-average of ``f`` over ``n`` steps, computed exactly.
 
@@ -329,7 +354,8 @@ def exact_mean_ratio(problem: AbsorbedChainProblem, f, n: int) -> float:
     recursion on the lifted survivor matrix: with ``u_j`` the survival
     probabilities over ``j`` steps and ``s_j`` the f-weighted survival
     sums, ``u_j = Q u_{j-1}`` and ``s_j = f * u_j + Q s_{j-1}``.  Exact up
-    to float round-off, cost ``O(n * survivors^2)``.
+    to float round-off, cost ``O(n * nnz)`` for the ``nnz`` stored
+    nonzeros of the CSR survivor matrix.
     """
     return float(mean_ratio_curve(problem, f, [n])[0])
 
@@ -340,32 +366,18 @@ def mean_ratio_curve(problem: AbsorbedChainProblem, f, ns) -> np.ndarray:
     if any(n < 1 for n in ns):
         raise ValueError("horizons must be positive")
     lifted, fvec = _lifted_setup(problem, f)
-    Q = lifted.survivor_matrix
     mu0 = lifted.normalized_initial()
     wanted = {n: i for i, n in enumerate(ns)}
     out = np.full(len(ns), np.nan)
-
-    u = np.ones(len(lifted.survivors))
-    s = np.zeros_like(u)
-    for step in range(1, max(ns) + 1):
-        u = Q @ u
-        s = fvec * u + Q @ s
-        peak = u.max()
-        if peak <= 0.0:
-            raise NullEventError(
-                f"no state survives {step} steps; the conditioning is null"
-            )
-        if peak < _RESCALE_FLOOR:
-            u = u / peak
-            s = s / peak
+    for step, V, _ in _survival_sweep(lifted.survivor_csr, max(ns), fvec):
         if step in wanted:
-            denom = float(mu0 @ u)
+            denom, total = mu0 @ V
             if denom <= 0.0:
                 raise NullEventError(
                     f"conditioning on a null event: survival probability at "
                     f"horizon {step} vanishes from the initial law"
                 )
-            out[wanted[step]] = float(mu0 @ s) / (step * denom)
+            out[wanted[step]] = total / (step * denom)
     return out
 
 
@@ -527,14 +539,18 @@ def qsd_fixed_point_search(
 # ---------------------------------------------------------------------------
 
 
-def write_mean_ratio_csv(problem: AbsorbedChainProblem, f, n_max: int, path):
-    """Exact conditioned time-averages for horizons 1..n_max, one row each."""
+def write_mean_ratio_csv(problem: AbsorbedChainProblem, f, n_max: int, path) -> np.ndarray:
+    """Exact conditioned time-averages for horizons 1..n_max, one row each.
+
+    Returns the curve it wrote, entry ``n - 1`` for horizon ``n``.
+    """
     values = mean_ratio_curve(problem, f, range(1, n_max + 1))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "mean_ratio"])
         for n, v in enumerate(values, start=1):
             writer.writerow([n, repr(float(v))])
+    return values
 
 
 def write_conditional_laws_csv(problem: AbsorbedChainProblem, n_max: int, path):

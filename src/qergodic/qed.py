@@ -34,35 +34,27 @@ class ClassSelection:
     """Outcome of picking the dominant class for an initial law.
 
     ``charged`` lists the classes meeting the support of the law,
-    ``maximal`` those among them tying for the largest decay rate.  The
-    selection is usable only when ``unique_dominant`` holds.
+    ``maximal`` those among them tying for the largest decay rate.  A tie
+    raises in :func:`select_dominant`, so every selection has one
+    ``maximal`` class, ``selected_index``.
     """
 
     charged: tuple[int, ...]
     rho_max: float
     maximal: tuple[int, ...]
     unique_dominant: bool
-    selected_index: int | None
+    selected_index: int
     warnings: tuple[str, ...]
 
     def selected(self, decomposition: ClassDecomposition) -> IrreducibleClass:
-        if self.selected_index is None:
-            raise Hypothesis1Error(
-                "no unique dominant class was selected", self.maximal
-            )
         return decomposition.classes[self.selected_index]
 
 
-def select_dominant(
-    decomposition: ClassDecomposition,
-    mu: np.ndarray,
-    rel_tol: float = RHO_TIE_RTOL,
-    strict: bool = True,
-) -> ClassSelection:
+def select_dominant(decomposition: ClassDecomposition, mu: np.ndarray) -> ClassSelection:
     """Pick the class with the largest decay rate among those charged by mu.
 
-    Ties within ``rel_tol`` (relative) are an error in strict mode: the
-    limit theorems do not apply and choosing silently would fabricate an
+    Ties within ``RHO_TIE_RTOL`` (relative) are an error: the limit
+    theorems do not apply and choosing silently would fabricate an
     answer.  A warning is attached when surviving mass can flow from a
     charged class into a class the law never charged, since the decay
     rates of such classes do not enter the selection.
@@ -92,7 +84,7 @@ def select_dominant(
     maximal = tuple(
         i
         for i in charged
-        if decomposition.classes[i].rho >= rho_max * (1.0 - rel_tol)
+        if decomposition.classes[i].rho >= rho_max * (1.0 - RHO_TIE_RTOL)
     )
     unique = len(maximal) == 1
 
@@ -109,7 +101,7 @@ def select_dominant(
             "selection ignores them, cross-check against the exact oracle"
         )
         if any(
-            decomposition.classes[i].rho > rho_max * (1.0 - rel_tol)
+            decomposition.classes[i].rho > rho_max * (1.0 - RHO_TIE_RTOL)
             for i in outside
         ):
             warnings.append(
@@ -118,7 +110,7 @@ def select_dominant(
                 "describe the true limit"
             )
 
-    if strict and not unique:
+    if not unique:
         names = "; ".join(
             f"class {i} with states {decomposition.classes[i].states} "
             f"(rho={decomposition.classes[i].rho:.12g})"
@@ -134,7 +126,7 @@ def select_dominant(
         rho_max=float(rho_max),
         maximal=maximal,
         unique_dominant=unique,
-        selected_index=maximal[0] if unique else None,
+        selected_index=maximal[0],
         warnings=tuple(warnings),
     )
 

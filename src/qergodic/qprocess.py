@@ -5,7 +5,11 @@ produces a time-inhomogeneous Markov chain on the dominant class: each
 transition reweights the original kernel by the ratio of right Perron
 values at the target and source lifted states, divided by the decay rate.
 With a period-``gamma`` boundary the kernel family is ``gamma``-periodic,
-so one slice per phase describes it completely.
+so one slice per phase describes it completely; each slice is gathered
+from the kernel and the class's right Perron vector as whole arrays.
+The finite-horizon approximants divide survival vectors taken from one
+sweep of the CSR survivor matrix, the same sweep as the exact oracle in
+``conditioning``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import AbsorbedChainProblem, lift_chain
+from .conditioning import _survival_sweep
 from .errors import NullEventError, ValidationError
 from .spectral import IrreducibleClass
 
@@ -125,34 +130,22 @@ def _kernel_for_class(problem, lifted, cls) -> QProcessKernel:
     P = problem.kernel.normalized()
 
     states = tuple(lifted.survivors[s] for s in cls.states)
-    xi_by_state = {
-        lifted.survivors[s]: cls.xi[i] for i, s in enumerate(cls.states)
-    }
-    by_phase: dict[int, list[str]] = {k: [] for k in range(gamma)}
-    for x, k in states:
-        by_phase[k].append(x)
-    for k in range(gamma):
-        by_phase[k].sort(key=space.index)
+    # lifted order is phase-major with state-space order within a phase
+    order = np.argsort(cls.states)
+    phases = np.array([states[i][1] for i in order])
+    index = np.array([space.index(states[i][0]) for i in order])
+    xi = np.asarray(cls.xi)[order]
 
     deviation = 0.0
     slices = []
     for phase in range(gamma):
-        prev = (phase - 1) % gamma
-        rows = tuple(by_phase[prev])
-        cols = tuple(by_phase[phase])
-        matrix = np.zeros((len(rows), len(cols)))
-        for i, y in enumerate(rows):
-            xi_y = xi_by_state[(y, prev)]
-            for j, z in enumerate(cols):
-                matrix[i, j] = (
-                    xi_by_state[(z, phase)]
-                    * P[space.index(y), space.index(z)]
-                    / (cls.rho * xi_y)
-                )
+        r, c = phases == (phase - 1) % gamma, phases == phase
+        matrix = xi[c][None, :] * P[np.ix_(index[r], index[c])] / (cls.rho * xi[r][:, None])
         sums = matrix.sum(axis=1)
         deviation = max(deviation, float(np.max(np.abs(sums - 1.0))))
         matrix = np.clip(matrix, 0.0, None)
         matrix /= matrix.sum(axis=1)[:, None]
+        rows, cols = (tuple(space.labels[i] for i in index[m]) for m in (r, c))
         slices.append(PhaseSlice(phase, rows, cols, matrix))
 
     return QProcessKernel(
@@ -192,9 +185,10 @@ def finite_horizon_qlaw(
 ) -> float:
     """Exact probability of a state cylinder conditioned on a far horizon.
 
-    Computes ``P_x(X_1 = c_1, ..., X_n = c_n | alive at m)`` through
-    lifted matrix powers; as the horizon m grows this converges to the
-    conditioned-forever cylinder probability.
+    Computes ``P_x(X_1 = c_1, ..., X_n = c_n | alive at m)`` from the
+    survival vectors at horizons ``m - n`` and ``m`` of one survival sweep
+    on the CSR survivor matrix; as the horizon m grows this converges to
+    the conditioned-forever cylinder probability.
     """
     cylinder = list(cylinder)
     n = len(cylinder)
@@ -221,29 +215,14 @@ def finite_horizon_qlaw(
     if not alive or prefix == 0.0:
         return 0.0
 
-    # Survival tail vectors with a shared scale ledger so the ratio of the
-    # entries at horizons m-n and m is exact.
-    Q = lifted.survivor_matrix
-    u = np.ones(Q.shape[0])
-    log_scale = 0.0
-    tail_value = None
-    tail_log = 0.0
-    for j in range(1, m + 1):
-        u = Q @ u
-        peak = float(u.max())
-        if peak <= 0.0:
-            raise NullEventError(f"no state survives {j} steps")
-        u /= peak
-        log_scale += np.log(peak)
+    index = lifted.survivor_index
+    tail = index[(current, n % gamma)]
+    for j, V, exponent in _survival_sweep(lifted.survivor_csr, m):
         if j == m - n:
-            tail_value = float(u[lifted.survivor_index[(current, n % gamma)]])
-            tail_log = log_scale
-    if m - n == 0:
-        tail_value = 1.0
-        tail_log = 0.0
-    denom = float(u[lifted.survivor_index[(x, 0)]])
-    if denom <= 0.0 or tail_value is None:
+            tail_value, tail_exponent = V[tail, 0], exponent
+    denom = V[index[(x, 0)], 0]
+    if denom <= 0.0:
         raise NullEventError(
             f"survival to horizon {m} from {x!r} has probability 0"
         )
-    return prefix * tail_value / denom * float(np.exp(tail_log - log_scale))
+    return float(np.ldexp(prefix * tail_value / denom, tail_exponent - exponent))

@@ -205,6 +205,70 @@ def lift_by_phase(problem: AbsorbedChainProblem):
     return survivors, Q
 
 
+def kernel_by_entry(problem: AbsorbedChainProblem, x: str):
+    """Q-process slices of the class of ``(x, 0)``, filled entry by entry.
+
+    Reference for the library's array assembly: for each phase, the class
+    states of the previous and of this phase in state-space order, each
+    entry ``xi(z) * P(y, z) / (rho * xi(y))``, then clipped at 0 and
+    renormalized by row.  Returns ``(phase, rows, cols, matrix)`` per
+    phase and the largest row-sum deviation before renormalization.
+    """
+    space = problem.space
+    gamma = problem.gamma
+    P = problem.kernel.normalized()
+    lifted = lift_chain(problem)
+    dec = lifted.decomposition
+    cls = dec.classes[int(dec.class_of[lifted.survivor_index[(x, 0)]])]
+    xi_by_state = {lifted.survivors[s]: cls.xi[i] for i, s in enumerate(cls.states)}
+    by_phase: dict[int, list[str]] = {k: [] for k in range(gamma)}
+    for y, k in xi_by_state:
+        by_phase[k].append(y)
+    for k in range(gamma):
+        by_phase[k].sort(key=space.index)
+    deviation = 0.0
+    slices = []
+    for phase in range(gamma):
+        prev = (phase - 1) % gamma
+        rows = tuple(by_phase[prev])
+        cols = tuple(by_phase[phase])
+        matrix = np.zeros((len(rows), len(cols)))
+        for i, y in enumerate(rows):
+            xi_y = xi_by_state[(y, prev)]
+            for j, z in enumerate(cols):
+                matrix[i, j] = (
+                    xi_by_state[(z, phase)]
+                    * P[space.index(y), space.index(z)]
+                    / (cls.rho * xi_y)
+                )
+        sums = matrix.sum(axis=1)
+        deviation = max(deviation, float(np.max(np.abs(sums - 1.0))))
+        matrix = np.clip(matrix, 0.0, None)
+        matrix /= matrix.sum(axis=1)[:, None]
+        slices.append((phase, rows, cols, matrix))
+    return slices, deviation
+
+
+def dense_sweep(problem: AbsorbedChainProblem, f: dict[str, float], n_max: int):
+    """Survival vectors ``u_j`` and f-weighted sums ``s_j``, j = 0..n_max.
+
+    Reference for the library's CSR sweep: ``u_j = Q u_{j-1}`` and
+    ``s_j = f * u_j + Q s_{j-1}`` from ``u_0 = 1``, ``s_0 = 0``, by dense
+    matrix-vector products on the lifted survivor matrix, never rescaled.
+    Rows of the returned arrays are indexed by j.
+    """
+    lifted = lift_chain(problem, validate=False)
+    Q = lifted.survivor_matrix
+    fvec = np.array([f.get(x, 0.0) for x, _ in lifted.survivors])
+    us = np.zeros((n_max + 1, Q.shape[0]))
+    ss = np.zeros_like(us)
+    us[0] = 1.0
+    for j in range(1, n_max + 1):
+        us[j] = Q @ us[j - 1]
+        ss[j] = fvec * us[j] + Q @ ss[j - 1]
+    return us, ss
+
+
 def dense_draw(matrix: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws by a search over full dense rows.
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -177,6 +179,15 @@ def test_survivor_matrix_matches_per_phase_assembly(seed):
 
 
 F = {"3": 1.0}
+
+
+def cli_oracle(problem, spec):
+    f_path = spec.with_name("f.json")
+    f_path.write_text(json.dumps(F))
+    out = spec.with_name("oracle.json")
+    main(["oracle", "--in", str(spec), "--f", str(f_path), "--n", "10", "--out", str(out)])
+
+
 ENTRY_POINTS = {
     "qed_moving": lambda problem, spec: qed_moving(problem, F),
     "build_qprocess": lambda problem, spec: build_qprocess(problem, "3"),
@@ -189,6 +200,7 @@ ENTRY_POINTS = {
     "cli_analyze": lambda problem, spec: main(
         ["analyze", "--in", str(spec), "--out", str(spec.with_name("report.json"))]
     ),
+    "cli_oracle": cli_oracle,
 }
 
 

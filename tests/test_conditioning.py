@@ -29,10 +29,12 @@ from qergodic import conditioning
 from _chains import (
     chained_tie,
     conditional_law_brute,
+    dense_sweep,
     k2_walk,
     n3_walk,
     random_problem,
     survival_paths,
+    three_cycle,
     two_copies_tied,
 )
 
@@ -411,6 +413,32 @@ def test_mean_ratio_deep_horizon_rescaling():
     value = exact_mean_ratio(problem, {"3": 1.0}, 2500)
     target = moving_walk_qed(3, "odd").weights["3"]
     assert abs(value - target) < 1e-2
+
+
+def test_mean_ratio_survives_underflow():
+    # survival over 4001 steps is below 1e-390, under the smallest double,
+    # which an unscaled sweep cannot hold; the alive path is a, b, c, a, ...
+    f = {"a": 1.0, "b": 2.0, "c": 4.0}
+    value = mean_ratio_curve(three_cycle(), f, [4001])[0]
+    assert value == pytest.approx((1333 * 7 + 1 + 2) / 4001, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_mean_ratio_curve_matches_dense_sweep(seed):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng)
+    f = dict(zip(problem.space.labels, rng.uniform(0.1, 1.0, problem.space.size)))
+    ns = np.arange(1, 41)
+    us, ss = dense_sweep(problem, f, 40)
+    mu0 = lift_chain(problem).normalized_initial()
+    denom = us[1:] @ mu0
+    if not np.all(denom > 0.0):
+        with pytest.raises(NullEventError):
+            mean_ratio_curve(problem, f, ns)
+        return
+    want = (ss[1:] @ mu0) / (ns * denom)
+    np.testing.assert_allclose(mean_ratio_curve(problem, f, ns), want, rtol=1e-12, atol=0)
 
 
 def test_qsd_fixed_point_search_n3():

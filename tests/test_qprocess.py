@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qergodic import (
+    NullEventError,
     ValidationError,
     build_qprocess,
     build_qprocess_dominant,
     finite_horizon_qlaw,
+    lift_chain,
     moving_walk,
     qprocess_closed_form,
 )
-from _chains import k2_walk, n3_walk, three_cycle
+from _chains import (
+    dense_sweep,
+    k2_walk,
+    kernel_by_entry,
+    n3_walk,
+    random_problem,
+    three_cycle,
+)
 
 
 def test_rows_sum_to_one_every_slice():
@@ -73,6 +83,23 @@ def test_closed_form_rows_sum_to_one_many_params():
                     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_slices_match_entrywise_reference(seed):
+    problem = random_problem(np.random.default_rng(seed))
+    for x in problem.survivors(0):
+        try:
+            kernel = build_qprocess(problem, x)
+        except NullEventError:
+            continue
+        slices, deviation = kernel_by_entry(problem, x)
+        assert kernel.row_sum_deviation == deviation
+        assert len(kernel.slices) == len(slices)
+        for sl, (phase, rows, cols, matrix) in zip(kernel.slices, slices):
+            assert (sl.phase, sl.row_states, sl.col_states) == (phase, rows, cols)
+            assert sl.matrix.tobytes() == matrix.tobytes()
+
+
 def test_build_qprocess_rejects_absorbed_start():
     with pytest.raises(ValidationError):
         build_qprocess(n3_walk(), "0")
@@ -127,6 +154,42 @@ def test_finite_horizon_matches_path_enumeration():
         assert finite_horizon_qlaw(problem, "3", cyl, m) == pytest.approx(
             pr / total, abs=1e-13
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_finite_horizon_matches_dense_sweep(seed):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng)
+    gamma = problem.gamma
+    P = problem.kernel.normalized()
+    index = lift_chain(problem).survivor_index
+    m = int(rng.integers(1, 31))
+    path = [str(rng.choice(problem.survivors(0)))]
+    for step in range(1, int(rng.integers(0, min(m, 3) + 1)) + 1):
+        path.append(str(rng.choice(problem.survivors(step % gamma))))
+    n = len(path) - 1
+    prefix = np.prod([P[problem.space.index(a), problem.space.index(b)]
+                      for a, b in zip(path, path[1:])])
+    us, _ = dense_sweep(problem, {}, m)
+    denom = us[m, index[(path[0], 0)]]
+    if denom == 0.0:
+        with pytest.raises(NullEventError):
+            finite_horizon_qlaw(problem, path[0], path[1:], m)
+        return
+    want = prefix * us[m - n, index[(path[-1], n % gamma)]] / denom
+    value = finite_horizon_qlaw(problem, path[0], path[1:], m)
+    assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_finite_horizon_survives_underflow():
+    # rho = 0.862, so survival to m = 6000 is below 1e-380 and an unscaled
+    # sweep underflows to 0; the approximant has met the closed form
+    problem = n3_walk(0.45)
+    closed = qprocess_closed_form(0.45, 3, "odd")
+    for cyl in (["2", "1"], ["2", "3"], ["4", "3"], ["4", "5"]):
+        value = finite_horizon_qlaw(problem, "3", cyl, 6000)
+        assert value == pytest.approx(closed.cylinder_probability("3", cyl), abs=1e-12)
 
 
 def test_finite_horizon_zero_for_absorbed_cylinder():
