@@ -146,10 +146,6 @@ class MovingBoundary:
     def killing_set(self, phase: int) -> frozenset[str]:
         return self.killing_sets[phase % self.gamma]
 
-    def survival_set(self, phase: int, space: StateSpace) -> tuple[str, ...]:
-        killed = self.killing_set(phase)
-        return tuple(x for x in space.labels if x not in killed)
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
@@ -199,7 +195,7 @@ class Distribution:
         return Distribution({x: w for x, w in self.weights.items() if x in keep})
 
     def tv_distance(self, other: "Distribution") -> float:
-        keys = set(self.weights) | set(other.weights)
+        keys = {**self.weights, **other.weights}  # a fixed summation order
         return 0.5 * sum(
             abs(self.weights.get(k, 0.0) - other.weights.get(k, 0.0)) for k in keys
         )
@@ -213,6 +209,8 @@ class AbsorbedChainProblem:
     the phase-0 survival set, and absorption is almost sure from every
     survivor (the lifted survivor matrix has spectral radius below 1).
     Run :func:`validate_problem` to obtain a report of violations.
+    ``alive[k, i]`` says whether state i survives phase k; every module
+    reads the boundary through this one array.
     """
 
     space: StateSpace
@@ -231,8 +229,23 @@ class AbsorbedChainProblem:
     def gamma(self) -> int:
         return self.boundary.gamma
 
+    @cached_property
+    def alive(self) -> np.ndarray:
+        """Read-only ``(gamma, S)`` mask of the states outside each killing set."""
+        alive = np.ones((self.gamma, self.space.size), dtype=bool)
+        for k, killed in enumerate(self.boundary.killing_sets):
+            unknown = sorted(x for x in killed if x not in self.space)
+            if unknown:
+                raise ValidationError(
+                    f"killing set at phase {k} contains unknown states {unknown}"
+                )
+            alive[k, [self.space.index(x) for x in killed]] = False
+        alive.setflags(write=False)
+        return alive
+
     def survivors(self, phase: int) -> tuple[str, ...]:
-        return self.boundary.survival_set(phase, self.space)
+        alive = self.alive[phase % self.gamma]
+        return tuple(x for x, a in zip(self.space.labels, alive) if a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,8 +253,10 @@ class LiftedChain:
     """The chain on (state, phase) pairs with a static killing set.
 
     One lift serves one analysis call: every array below is built on
-    first read and kept.  ``survivors`` lists the lifted states outside
-    the lifted killing set in phase-major order; ``survivor_matrix`` is
+    first read and kept.  Lifted survivor i is state ``state[i]`` at phase
+    ``phase[i]``, the positions of ``np.nonzero(problem.alive)``, so the
+    order is phase-major with state-space order within a phase;
+    ``survivors`` lists the same pairs by label; ``survivor_matrix`` is
     the substochastic one-step matrix on them, and ``survivor_csr`` the
     same matrix in CSR form for the survival sweeps; ``initial_vector``
     carries the problem's initial mass placed at phase 0 (unnormalized);
@@ -256,9 +271,18 @@ class LiftedChain:
         return self.problem.gamma
 
     @cached_property
+    def phase(self) -> np.ndarray:
+        return _frozen_array(np.nonzero(self.problem.alive)[0], int)
+
+    @cached_property
+    def state(self) -> np.ndarray:
+        return _frozen_array(np.nonzero(self.problem.alive)[1], int)
+
+    @cached_property
     def survivors(self) -> tuple[tuple[str, int], ...]:
+        labels = self.problem.space.labels
         return tuple(
-            (x, k) for k in range(self.gamma) for x in self.problem.survivors(k)
+            (labels[i], k) for i, k in zip(self.state.tolist(), self.phase.tolist())
         )
 
     @cached_property
@@ -268,12 +292,9 @@ class LiftedChain:
     @cached_property
     def survivor_matrix(self) -> np.ndarray:
         # (x, k) -> (y, k') carries P(x, y) exactly when k' = k + 1 mod gamma
-        index = self.problem.space.index
-        idx = np.array([index(x) for x, _ in self.survivors], dtype=int)
-        phase = np.array([k for _, k in self.survivors], dtype=int)
         P = self.problem.kernel.normalized()
-        step = (phase[:, None] + 1) % self.gamma == phase[None, :]
-        return _frozen_array(P[np.ix_(idx, idx)] * step)
+        step = (self.phase[:, None] + 1) % self.gamma == self.phase[None, :]
+        return _frozen_array(P[np.ix_(self.state, self.state)] * step)
 
     @cached_property
     def survivor_csr(self) -> sparse.csr_array:

@@ -350,9 +350,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=float, required=True, help="down-step probability")
     p.add_argument("--K", type=int, help="fixed-boundary interior size")
     p.add_argument("--N", type=int, help="moving-boundary half-width")
-    p.add_argument(
-        "--moving", action="store_true", help="kept for readability; implied by --N"
-    )
     p.add_argument("--start", help="start the walk at this state label")
     p.add_argument("--out", help="write the problem spec here")
     p.set_defaults(func=cmd_randomwalk)

@@ -24,12 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .chain import (
-    AbsorbedChainProblem,
-    Distribution,
-    lift_chain,
-    survivor_restriction,
-)
+from .chain import AbsorbedChainProblem, Distribution, lift_chain
 from .errors import ConvergenceError, Hypothesis1Error, NullEventError, ValidationError
 from .spectral import RHO_TIE_RTOL
 
@@ -50,7 +45,8 @@ __all__ = [
     "write_conditional_laws_csv",
 ]
 
-_SAME_LAW_TV = 1e-9  # laws this close in TV are equal (cycle period, certificate)
+_SAME_LAW_TV = 1e-9  # laws this close in TV are equal (cycle period, certificates)
+_GRID_BUDGET = 2_500_000  # most simplex points the fixed-point search scans
 
 
 def state_function(problem: AbsorbedChainProblem, f) -> np.ndarray:
@@ -76,17 +72,8 @@ def state_function(problem: AbsorbedChainProblem, f) -> np.ndarray:
     return arr
 
 
-def _killed_indices(problem: AbsorbedChainProblem, phase: int) -> list[int]:
-    return [
-        problem.space.index(x)
-        for x in problem.boundary.killing_set(phase)
-        if x in problem.space
-    ]
-
-
 def _step_vector(problem, P, vec, phase) -> np.ndarray:
-    out = vec @ P
-    out[_killed_indices(problem, phase)] = 0.0
+    out = (vec @ P) * problem.alive[phase % problem.gamma]
     total = out.sum()
     if total <= 0.0:
         raise NullEventError(
@@ -101,7 +88,7 @@ def _initial_vector(problem, mu: Distribution | None) -> np.ndarray:
     vec = initial.to_array(problem.space)
     if np.any(vec < 0.0):
         raise ValidationError("law has negative weights")
-    vec[_killed_indices(problem, 0)] = 0.0
+    vec = vec * problem.alive[0]
     total = vec.sum()
     if total <= 0.0:
         raise NullEventError("law places no mass on the phase-0 survival set")
@@ -175,21 +162,16 @@ def collapsed_chain(
     problem: AbsorbedChainProblem, base_phase: int = 0
 ) -> CollapsedChain:
     """Kernel of the gamma-step chain: one period of masked transitions."""
-    space = problem.space
     gamma = problem.gamma
     P = problem.kernel.normalized()
-    acc = np.eye(space.size)
+    acc = np.eye(problem.space.size)
     for step in range(1, gamma + 1):
-        phase = (base_phase + step) % gamma
-        masked = P.copy()
-        masked[:, _killed_indices(problem, phase)] = 0.0
-        acc = acc @ masked
-    survivors = problem.boundary.survival_set(base_phase, space)
-    idx = [space.index(x) for x in survivors]
-    kernel = acc[np.ix_(idx, idx)].copy()
+        acc = acc @ (P * problem.alive[(base_phase + step) % gamma])
+    idx = np.flatnonzero(problem.alive[base_phase % gamma])
+    kernel = acc[np.ix_(idx, idx)]
     return CollapsedChain(
         base_phase=base_phase % gamma,
-        survivors=survivors,
+        survivors=problem.survivors(base_phase),
         matrix=kernel,
         cemetery=1.0 - kernel.sum(axis=1),
     )
@@ -279,10 +261,9 @@ def qld_cycle(problem: AbsorbedChainProblem) -> QldCycle:
     T = lcm(*(dec.classes[i].period for i in tied))
     gamma = problem.gamma
     lifted_laws = sum(_peripheral_laws(lifted, i, live, T) for i in tied)
-    lifted_laws *= [[k == r % gamma for _, k in lifted.survivors] for r in range(T)]
+    lifted_laws *= lifted.phase == np.arange(T)[:, None] % gamma
     laws = np.zeros((T, problem.space.size))
-    state = [problem.space.index(x) for x, _ in lifted.survivors]
-    np.add.at(laws, (slice(None), state), np.maximum(lifted_laws, 0.0))
+    np.add.at(laws, (slice(None), lifted.state), np.maximum(lifted_laws, 0.0))
     laws /= laws.sum(axis=1, keepdims=True)
 
     def repeats(p):  # every law equals the one p steps later
@@ -311,13 +292,6 @@ def qld_cycle(problem: AbsorbedChainProblem) -> QldCycle:
         max_pairwise_tv=pairwise,
         qld_exists=pairwise <= _SAME_LAW_TV,
     )
-
-
-def _lifted_setup(problem, f):
-    lifted = lift_chain(problem)
-    base = state_function(problem, f)
-    fvec = np.array([base[problem.space.index(x)] for x, _ in lifted.survivors])
-    return lifted, fvec
 
 
 def _survival_sweep(Q, n_max: int, f=None):
@@ -365,19 +339,22 @@ def mean_ratio_curve(problem: AbsorbedChainProblem, f, ns) -> np.ndarray:
     ns = [int(n) for n in ns]
     if any(n < 1 for n in ns):
         raise ValueError("horizons must be positive")
-    lifted, fvec = _lifted_setup(problem, f)
+    lifted = lift_chain(problem)
+    fvec = state_function(problem, f)[lifted.state]
     mu0 = lifted.normalized_initial()
-    wanted = {n: i for i, n in enumerate(ns)}
-    out = np.full(len(ns), np.nan)
+    positions: dict[int, list[int]] = {}
+    for i, n in enumerate(ns):
+        positions.setdefault(n, []).append(i)
+    out = np.empty(len(ns))
     for step, V, _ in _survival_sweep(lifted.survivor_csr, max(ns), fvec):
-        if step in wanted:
+        if step in positions:
             denom, total = mu0 @ V
             if denom <= 0.0:
                 raise NullEventError(
                     f"conditioning on a null event: survival probability at "
                     f"horizon {step} vanishes from the initial law"
                 )
-            out[wanted[step]] = total / (step * denom)
+            out[positions[step]] = total / (step * denom)
     return out
 
 
@@ -421,31 +398,37 @@ def _simplex_grid(d: int, steps: int) -> np.ndarray:
     return np.vstack(rows)
 
 
+def _phase_gaps(problem, P, laws: np.ndarray) -> np.ndarray:
+    """Worst TV displacement of each row of ``laws`` under the conditioned
+    step into every phase; 1 where a phase leaves the row no mass."""
+    pushed = laws @ P
+    gap = np.zeros(laws.shape[0])
+    for alive in problem.alive:
+        out = pushed * alive
+        totals = out.sum(axis=1)
+        ok = totals > 0.0
+        tvs = np.ones(laws.shape[0])
+        tvs[ok] = 0.5 * np.abs(out[ok] / totals[ok, None] - laws[ok]).sum(axis=1)
+        gap = np.maximum(gap, tvs)
+    return gap
+
+
 def qsd_fixed_point_search(
-    problem: AbsorbedChainProblem,
-    grid_step: float = 1e-3,
-    budget: int = 2_500_000,
-    fixed_tol: float = 1e-9,
+    problem: AbsorbedChainProblem, grid_step: float = 1e-3
 ) -> FixedPointSearch:
     """Certify that no law is invariant under every phase's conditioning.
 
     A common fixed point would have to live on the intersection of all
-    survival sets, so the grid scans that simplex; the eigen candidates
-    cover the exact invariant laws of each phase (nonnegative left
-    eigenvectors of the phase survivor matrix).  A positive
-    ``grid_min_gap`` together with positive ``eigen_gaps`` certifies
-    nonexistence at the grid resolution.
+    survival sets, so the grid scans that simplex (coarsened until it has
+    at most ``_GRID_BUDGET`` points); the eigen candidates cover the exact
+    invariant laws of each phase (nonnegative left eigenvectors of the
+    phase survivor matrix).  A positive ``grid_min_gap`` together with
+    positive ``eigen_gaps`` certifies nonexistence at the grid resolution.
     """
     space = problem.space
-    gamma = problem.gamma
     P = problem.kernel.normalized()
-
-    common = tuple(
-        x
-        for x in space.labels
-        if all(x not in problem.boundary.killing_set(m) for m in range(gamma))
-    )
-    maps_killed = [_killed_indices(problem, m) for m in range(gamma)]
+    common_idx = np.flatnonzero(problem.alive.all(axis=0))
+    common = tuple(space.labels[i] for i in common_idx)
 
     grid_min_gap = np.inf
     grid_argmin = None
@@ -453,29 +436,17 @@ def qsd_fixed_point_search(
     if common:
         d = len(common)
         steps = max(1, round(1.0 / grid_step))
-        while comb(steps + d - 1, d - 1) > budget:
+        while comb(steps + d - 1, d - 1) > _GRID_BUDGET:
             steps //= 2
         grid_step = 1.0 / steps
         counts = _simplex_grid(d, steps)
         points = counts.shape[0]
-        sup_idx = [space.index(x) for x in common]
         chunk = 200_000
         for lo in range(0, points, chunk):
             block = counts[lo:lo + chunk].astype(float) / steps
             embedded = np.zeros((block.shape[0], space.size))
-            embedded[:, sup_idx] = block
-            gap = np.zeros(block.shape[0])
-            for m in range(gamma):
-                out = embedded @ P
-                out[:, maps_killed[m]] = 0.0
-                totals = out.sum(axis=1)
-                ok = totals > 0.0
-                tvs = np.ones(block.shape[0])
-                if ok.any():
-                    tvs[ok] = 0.5 * np.abs(
-                        out[ok] / totals[ok, None] - embedded[ok]
-                    ).sum(axis=1)
-                gap = np.maximum(gap, tvs)
+            embedded[:, common_idx] = block
+            gap = _phase_gaps(problem, P, embedded)
             best = int(np.argmin(gap))
             if gap[best] < grid_min_gap:
                 grid_min_gap = float(gap[best])
@@ -484,9 +455,10 @@ def qsd_fixed_point_search(
                 )
 
     candidates: list[tuple[int, float, Distribution]] = []
-    for m in range(gamma):
-        Qm, surv = survivor_restriction(space, P, problem.boundary.killing_set(m))
-        eigvals, eigvecs = np.linalg.eig(Qm.T)
+    laws = []
+    for m, alive in enumerate(problem.alive):
+        surv = problem.survivors(m)
+        eigvals, eigvecs = np.linalg.eig(P[np.ix_(alive, alive)].T)
         for i, lam in enumerate(eigvals):
             if abs(lam.imag) > 1e-9 or lam.real <= 1e-9:
                 continue
@@ -505,22 +477,8 @@ def qsd_fixed_point_search(
             dist = Distribution({x: float(w / total) for x, w in zip(surv, v)})
             if all(dist.tv_distance(c[2]) > 1e-9 for c in candidates):
                 candidates.append((m, float(lam.real), dist))
-
-    eigen_gaps = []
-    found_common = False
-    for _, _, dist in candidates:
-        worst = 0.0
-        for m in range(gamma):
-            try:
-                moved = conditional_step(problem, dist, m)
-                worst = max(worst, moved.tv_distance(dist))
-            except NullEventError:
-                worst = max(worst, 1.0)
-        eigen_gaps.append(worst)
-        if worst <= fixed_tol:
-            found_common = True
-    if np.isfinite(grid_min_gap) and grid_min_gap <= fixed_tol:
-        found_common = True
+                laws.append(dist.to_array(space))
+    eigen_gaps = _phase_gaps(problem, P, np.array(laws).reshape(-1, space.size))
 
     return FixedPointSearch(
         common_support=common,
@@ -529,8 +487,10 @@ def qsd_fixed_point_search(
         grid_min_gap=float(grid_min_gap),
         grid_argmin=grid_argmin,
         eigen_candidates=tuple(candidates),
-        eigen_gaps=tuple(eigen_gaps),
-        has_common_fixed_point=found_common,
+        eigen_gaps=tuple(eigen_gaps.tolist()),
+        has_common_fixed_point=bool(
+            grid_min_gap <= _SAME_LAW_TV or np.any(eigen_gaps <= _SAME_LAW_TV)
+        ),
     )
 
 

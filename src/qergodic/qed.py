@@ -33,16 +33,13 @@ __all__ = [
 class ClassSelection:
     """Outcome of picking the dominant class for an initial law.
 
-    ``charged`` lists the classes meeting the support of the law,
-    ``maximal`` those among them tying for the largest decay rate.  A tie
-    raises in :func:`select_dominant`, so every selection has one
-    ``maximal`` class, ``selected_index``.
+    ``charged`` lists the classes meeting the support of the law and
+    ``selected_index`` the one with the largest decay rate ``rho_max``; a
+    tie for it raises in :func:`select_dominant`.
     """
 
     charged: tuple[int, ...]
     rho_max: float
-    maximal: tuple[int, ...]
-    unique_dominant: bool
     selected_index: int
     warnings: tuple[str, ...]
 
@@ -86,7 +83,6 @@ def select_dominant(decomposition: ClassDecomposition, mu: np.ndarray) -> ClassS
         for i in charged
         if decomposition.classes[i].rho >= rho_max * (1.0 - RHO_TIE_RTOL)
     )
-    unique = len(maximal) == 1
 
     warnings = []
     outside = decomposition.reachable_from(set(charged)) - set(charged)
@@ -110,7 +106,7 @@ def select_dominant(decomposition: ClassDecomposition, mu: np.ndarray) -> ClassS
                 "describe the true limit"
             )
 
-    if not unique:
+    if len(maximal) > 1:
         names = "; ".join(
             f"class {i} with states {decomposition.classes[i].states} "
             f"(rho={decomposition.classes[i].rho:.12g})"
@@ -124,8 +120,6 @@ def select_dominant(decomposition: ClassDecomposition, mu: np.ndarray) -> ClassS
     return ClassSelection(
         charged=charged,
         rho_max=float(rho_max),
-        maximal=maximal,
-        unique_dominant=unique,
         selected_index=maximal[0],
         warnings=tuple(warnings),
     )
@@ -197,17 +191,7 @@ def qed_moving(problem: AbsorbedChainProblem, f=None) -> QedResult:
     selection = select_dominant(decomposition, lifted.initial_vector)
     cls = selection.selected(decomposition)
     eta_lifted = _eta_on_class(cls, len(lifted.survivors))
-
-    marginal: dict[str, float] = {}
-    for weight, (x, _) in zip(eta_lifted, lifted.survivors):
-        if weight != 0.0:
-            marginal[x] = marginal.get(x, 0.0) + float(weight)
-    dist = Distribution(marginal)
-
-    phi = None
-    if f is not None:
-        fvec = state_function(problem, f)
-        phi = float(
-            sum(fvec[problem.space.index(x)] * w for x, w in marginal.items())
-        )
+    marginal = np.bincount(lifted.state, eta_lifted, problem.space.size)
+    dist = Distribution.from_array(problem.space, marginal)
+    phi = None if f is None else float(state_function(problem, f) @ marginal)
     return QedResult(decomposition, selection, eta_lifted, dist, phi, lifted)

@@ -21,6 +21,7 @@ import numpy as np
 from .chain import AbsorbedChainProblem, lift_chain
 from .conditioning import _survival_sweep
 from .errors import NullEventError, ValidationError
+from .qed import select_dominant
 from .spectral import IrreducibleClass
 
 __all__ = [
@@ -130,11 +131,8 @@ def _kernel_for_class(problem, lifted, cls) -> QProcessKernel:
     P = problem.kernel.normalized()
 
     states = tuple(lifted.survivors[s] for s in cls.states)
-    # lifted order is phase-major with state-space order within a phase
-    order = np.argsort(cls.states)
-    phases = np.array([states[i][1] for i in order])
-    index = np.array([space.index(states[i][0]) for i in order])
-    xi = np.asarray(cls.xi)[order]
+    pos = list(cls.states)  # sorted, so phase-major like the lift
+    phases, index, xi = lifted.phase[pos], lifted.state[pos], np.asarray(cls.xi)
 
     deviation = 0.0
     slices = []
@@ -172,8 +170,6 @@ def build_qprocess(problem: AbsorbedChainProblem, x: str) -> QProcessKernel:
 
 def build_qprocess_dominant(problem: AbsorbedChainProblem) -> QProcessKernel:
     """Kernel on the dominant class selected by the problem's initial law."""
-    from .qed import select_dominant
-
     lifted = lift_chain(problem)
     selection = select_dominant(lifted.decomposition, lifted.initial_vector)
     cls = selection.selected(lifted.decomposition)

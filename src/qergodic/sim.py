@@ -175,10 +175,7 @@ def _engine(problem: AbsorbedChainProblem, config: SimConfig, fvec, record_paths
     space = problem.space
     gamma = problem.gamma
     sampler = _RowSampler(problem.kernel.normalized())
-    killed = np.zeros((gamma, space.size), dtype=bool)
-    for k in range(gamma):
-        for x in problem.boundary.killing_set(k):
-            killed[k, space.index(x)] = True
+    killed = ~problem.alive
 
     init = problem.initial.to_array(space)
     if np.any(init < 0.0) or init.sum() <= 0.0:

@@ -159,12 +159,11 @@ def random_problem(rng, n_states=None, gamma=None) -> AbsorbedChainProblem:
             continue
         space = StateSpace(labels)
         boundary = MovingBoundary(g, tuple(sets))
-        survivors0 = boundary.survival_set(0, space)
         problem = AbsorbedChainProblem(
             space,
             TransitionKernel(P),
             boundary,
-            Distribution.uniform(survivors0),
+            Distribution.uniform(x for x in labels if x not in sets[0]),
         )
         if validate_problem(problem):
             continue

@@ -9,11 +9,14 @@ from qergodic import (
     AbsorbedChainProblem,
     Distribution,
     MovingBoundary,
+    SimConfig,
     StateSpace,
     TransitionKernel,
     ValidationError,
     build_qprocess,
     build_qprocess_dominant,
+    conditional_law,
+    estimate_conditionals,
     finite_horizon_qlaw,
     lift_chain,
     loads_problem,
@@ -117,6 +120,44 @@ def test_lift_moving_walk_counts():
     assert len(lifted.survivors) == 8
     expected = {(str(x), 0) for x in range(1, 6)} | {(str(x), 1) for x in (2, 3, 4)}
     assert set(lifted.survivors) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lift_arrays_list_survivors_phase_major(seed):
+    problem = random_problem(np.random.default_rng(seed))
+    labels, gamma = problem.space.labels, problem.gamma
+    killing = problem.boundary.killing_set
+    pairs = [(x, k) for k in range(gamma) for x in labels if x not in killing(k)]
+    lifted = lift_chain(problem, validate=False)
+    assert lifted.survivors == tuple(pairs)
+    assert lifted.phase.tolist() == [k for _, k in pairs]
+    assert [labels[i] for i in lifted.state] == [x for x, _ in pairs]
+    for k in range(-1, gamma + 1):
+        assert problem.survivors(k) == tuple(x for x in labels if x not in killing(k))
+    with pytest.raises(ValueError):
+        problem.alive[0, 0] = False
+
+
+def test_unknown_killing_label_is_rejected_by_every_entry_point():
+    walk = n3_walk()
+    sets = walk.boundary.killing_sets
+    problem = AbsorbedChainProblem(
+        walk.space,
+        walk.kernel,
+        MovingBoundary(2, (sets[0], sets[1] | {"zz"})),
+        walk.initial,
+    )
+    assert validate_problem(problem) == [
+        "killing set at phase 1 contains unknown states ['zz']"
+    ]
+    for run in (
+        lambda: problem.alive,
+        lambda: conditional_law(problem, 3),
+        lambda: estimate_conditionals(problem, {"3": 1.0}, SimConfig(0, 10, 3)),
+    ):
+        with pytest.raises(ValidationError, match="unknown states \\['zz'\\]"):
+            run()
 
 
 def test_lift_gamma_one_is_isomorphic():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qergodic import load_problem, save_problem
+from qergodic import load_problem, moving_walk, save_problem
 from qergodic.cli import main
 from _chains import chained_tie, n3_walk, two_copies_tied
 
@@ -29,8 +29,7 @@ def f_file(tmp_path):
 def test_randomwalk_generates_loadable_problem(tmp_path):
     out = tmp_path / "gen.json"
     code = main(
-        ["randomwalk", "--p", "0.5", "--N", "3", "--moving", "--start", "3",
-         "--out", str(out)]
+        ["randomwalk", "--p", "0.5", "--N", "3", "--start", "3", "--out", str(out)]
     )
     assert code == 0
     problem = load_problem(out)
@@ -217,6 +216,21 @@ def test_oracle_and_qed_agree(walk_file, f_file, tmp_path, capsys):
     main(["qed", "--in", str(walk_file), "--f", str(f_file)])
     qed = json.loads(capsys.readouterr().out)
     assert abs(oracle["mean_ratio"] - qed["phi_of_f"]) <= 1e-2
+
+
+def test_qld_cycle_report_does_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "walk.json"
+    save_problem(moving_walk(0.45, 20), path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        reports.append(subprocess.run(
+            [sys.executable, "-m", "qergodic.cli", "qld-cycle", "--in", str(path)],
+            capture_output=True, env=env, check=True, timeout=120,
+        ).stdout)
+    assert reports[0] == reports[1]
 
 
 def test_reader_closing_the_pipe_early_is_quiet():

@@ -31,6 +31,7 @@ from _chains import (
     conditional_law_brute,
     dense_sweep,
     k2_walk,
+    k5_walk,
     n3_walk,
     random_problem,
     survival_paths,
@@ -407,6 +408,13 @@ def test_mean_ratio_curve_matches_pointwise():
         assert v == pytest.approx(exact_mean_ratio(problem, f, n), abs=1e-14)
 
 
+def test_mean_ratio_curve_fills_repeated_horizons():
+    problem = moving_walk(0.5, 3, initial="3")
+    curve = mean_ratio_curve(problem, {"3": 1.0}, [5, 5, 2])
+    want = [exact_mean_ratio(problem, {"3": 1.0}, n) for n in (5, 5, 2)]
+    np.testing.assert_array_equal(curve, want)
+
+
 def test_mean_ratio_deep_horizon_rescaling():
     # rho ~ 0.69 here: naive powers underflow long before n = 2500
     problem = n3_walk(0.1, start="3")
@@ -448,6 +456,22 @@ def test_qsd_fixed_point_search_n3():
     assert report.grid_min_gap > 0.05
     assert report.eigen_candidates
     assert all(g > 0.05 for g in report.eigen_gaps)
+
+
+@pytest.mark.parametrize("problem", [n3_walk(), k5_walk(0.3)], ids=["moving", "fixed"])
+def test_fixed_point_gaps_match_conditional_steps(problem):
+    report = qsd_fixed_point_search(problem, grid_step=1e-2)
+    assert report.eigen_candidates
+    for (_, _, dist), gap in zip(report.eigen_candidates, report.eigen_gaps):
+        moves = []
+        for m in range(problem.gamma):
+            try:
+                moves.append(conditional_step(problem, dist, m).tv_distance(dist))
+            except NullEventError:
+                moves.append(1.0)
+        assert gap == pytest.approx(max(moves), abs=1e-15)
+    # with a fixed boundary the Perron candidate is the QSD, a common fixed point
+    assert report.has_common_fixed_point == (problem.gamma == 1)
 
 
 def test_csv_emitters(tmp_path):

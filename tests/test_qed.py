@@ -56,7 +56,6 @@ def test_select_dominant_closedness_warning():
     lifted = lift_chain(problem)
     dec = decompose_classes(lifted.survivor_matrix)
     selection = select_dominant(dec, lifted.initial_vector)
-    assert selection.unique_dominant
     assert any("can flow" in w for w in selection.warnings)
 
 
