@@ -46,7 +46,7 @@ pos = lifted.survivor_index[("1", 0)]
 u = np.ones(len(lifted.survivors))
 print("\n n   P_1(alive at n)    c_n * rho^n        ratio")
 for n in range(1, 13):
-    u = lifted.survivor_matrix @ u
+    u = lifted.survivor_csr @ u
     exact = u[pos]
     predicted = survival_coefficient(cls, pos, n) * cls.rho**n
     print(f"{n:3d}   {exact:.10f}     {predicted:.10f}   {exact / predicted:.6f}")

@@ -35,7 +35,6 @@ __all__ = [
     "LiftedChain",
     "validate_problem",
     "lift_chain",
-    "survivor_restriction",
     "problem_from_dict",
     "problem_to_dict",
     "load_problem",
@@ -256,12 +255,13 @@ class LiftedChain:
     first read and kept.  Lifted survivor i is state ``state[i]`` at phase
     ``phase[i]``, the positions of ``np.nonzero(problem.alive)``, so the
     order is phase-major with state-space order within a phase;
-    ``survivors`` lists the same pairs by label; ``survivor_matrix`` is
-    the substochastic one-step matrix on them, and ``survivor_csr`` the
-    same matrix in CSR form for the survival sweeps; ``initial_vector``
-    carries the problem's initial mass placed at phase 0 (unnormalized);
-    ``decomposition`` is the class decomposition of ``survivor_matrix``,
-    shared by validation and every analysis run on this lift.
+    ``survivors`` lists the same pairs by label; ``survivor_csr`` is the
+    substochastic one-step matrix on them, the one form of the lift that
+    the library reads; ``initial_vector`` carries the problem's initial
+    mass placed at phase 0 (unnormalized); ``decomposition`` is the class
+    decomposition of ``survivor_csr``, shared by validation and every
+    analysis run on this lift.  ``survivor_matrix`` and ``matrix`` are
+    dense views for inspection, built on each read.
     """
 
     problem: AbsorbedChainProblem
@@ -290,15 +290,18 @@ class LiftedChain:
         return {s: i for i, s in enumerate(self.survivors)}
 
     @cached_property
-    def survivor_matrix(self) -> np.ndarray:
-        # (x, k) -> (y, k') carries P(x, y) exactly when k' = k + 1 mod gamma
-        P = self.problem.kernel.normalized()
-        step = (self.phase[:, None] + 1) % self.gamma == self.phase[None, :]
-        return _frozen_array(P[np.ix_(self.state, self.state)] * step)
-
-    @cached_property
     def survivor_csr(self) -> sparse.csr_array:
-        return sparse.csr_array(self.survivor_matrix)
+        # (x, k) -> (y, k') carries P(x, y) exactly when k' = k + 1 mod gamma;
+        # the flat positions of alive are k * S + x, the order of the kron
+        shift = sparse.csr_array(np.roll(np.eye(self.gamma), 1, axis=1))
+        P = sparse.csr_array(self.problem.kernel.normalized())
+        keep = np.flatnonzero(self.problem.alive)
+        return sparse.kron(shift, P, format="csr")[keep][:, keep]
+
+    @property
+    def survivor_matrix(self) -> np.ndarray:
+        """Dense copy of ``survivor_csr``, built on each read."""
+        return self.survivor_csr.toarray()
 
     @cached_property
     def initial_vector(self) -> np.ndarray:
@@ -309,7 +312,7 @@ class LiftedChain:
 
     @cached_property
     def decomposition(self) -> ClassDecomposition:
-        return decompose_classes(self.survivor_matrix)
+        return decompose_classes(self.survivor_csr)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -415,32 +418,6 @@ def lift_chain(problem: AbsorbedChainProblem, validate: bool = True) -> LiftedCh
                 "invalid problem: " + "; ".join(violations), violations
             )
     return lifted
-
-
-def survivor_restriction(
-    space: StateSpace,
-    kernel: TransitionKernel | np.ndarray,
-    killing_set: Iterable[str],
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Restrict a kernel to the complement of a killing set.
-
-    Returns the substochastic matrix on survivors together with the
-    surviving labels (in state-space order).  Row deficits are the
-    one-step killing probabilities.
-    """
-    killed = frozenset(killing_set)
-    unknown = sorted(x for x in killed if x not in space)
-    if unknown:
-        raise ValidationError(f"killing set contains unknown states {unknown}")
-    survivors = tuple(x for x in space.labels if x not in killed)
-    if not survivors:
-        raise ValidationError("empty survivor set")
-    if isinstance(kernel, TransitionKernel):
-        P = kernel.normalized()
-    else:
-        P = np.asarray(kernel, dtype=float)
-    idx = [space.index(x) for x in survivors]
-    return P[np.ix_(idx, idx)].copy(), survivors
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from math import comb, lcm
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import spsolve
 
 from .chain import AbsorbedChainProblem, Distribution, lift_chain
@@ -213,23 +214,26 @@ def _peripheral_laws(lifted, i: int, live: set[int], T: int) -> np.ndarray:
     ``rho L_{j+1} = L_j Q`` on W (nonsingular, as U and W decay faster).
     The terms are nonnegative, so no rounding lands on uncharged states.
     """
-    dec, Q = lifted.decomposition, lifted.survivor_matrix
+    dec, Q = lifted.decomposition, lifted.survivor_csr
     mu = lifted.normalized_initial()
     cls = dec.classes[i]
     R, L = np.zeros((2, cls.period, len(mu)))
-    cyc = [cls.cyclic_index(s) for s in cls.states]
-    R[cyc, list(cls.states)], L[cyc, list(cls.states)] = cls.xi, cls.nu
+    R[cls.cyclic, list(cls.states)], L[cls.cyclic, list(cls.states)] = cls.xi, cls.nu
 
     def solve(A, B, shift):  # rho Y[j] - A Y[j + shift] = B[j], j mod T_i
         cyclic = sparse.kron(np.roll(np.eye(len(B)), shift, axis=1), A)
         M = sparse.csc_matrix(cls.rho * sparse.identity(B.size) - cyclic)
         return spsolve(M, B.ravel()).reshape(B.shape) if B.size else B
 
-    up = [a for a in live if i in dec.reachable_from({a})]
-    U = np.flatnonzero(np.isin(dec.class_of, up))
-    W = np.flatnonzero(np.isin(dec.class_of, list(dec.reachable_from({i}))))
-    R_U = solve(Q[np.ix_(U, U)], np.roll(R, -1, axis=0) @ Q[U].T, 1)
-    L[:, W] = solve(Q[np.ix_(W, W)].T, np.roll(L, 1, axis=0) @ Q[:, W], -1)
+    # U: live ancestors of class i, W: its descendants; one search each
+    up, down = np.zeros((2, len(mu)), dtype=bool)
+    up[breadth_first_order(Q.T, cls.states[0], return_predecessors=False)] = True
+    down[breadth_first_order(Q, cls.states[0], return_predecessors=False)] = True
+    outside = dec.class_of != i
+    U = np.flatnonzero(up & outside & np.isin(dec.class_of, list(live)))
+    W = np.flatnonzero(down & outside)
+    R_U = solve(Q[U][:, U], np.roll(R, -1, axis=0) @ Q[U].T, 1)
+    L[:, W] = solve(Q[W][:, W].T, np.roll(L, 1, axis=0) @ Q[:, W], -1)
     weights = cls.period * (R @ mu + R_U @ mu[U])
     return np.array([weights @ np.roll(L, -r, axis=0) for r in range(T)])
 

@@ -57,18 +57,14 @@ def select_dominant(decomposition: ClassDecomposition, mu: np.ndarray) -> ClassS
     rates of such classes do not enter the selection.
     """
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (decomposition.matrix.shape[0],):
+    if mu.shape != decomposition.class_of.shape:
         raise ValidationError(
             "initial law must be a vector over the matrix states"
         )
     if np.any(mu < 0.0) or mu.sum() <= 0.0:
         raise ValidationError("initial law must be nonnegative with positive mass")
 
-    charged = tuple(
-        i
-        for i, cls in enumerate(decomposition.classes)
-        if any(mu[s] > 0.0 for s in cls.states)
-    )
+    charged = tuple(np.unique(decomposition.class_of[mu > 0.0]).tolist())
     if not charged:
         raise ValidationError("initial law charges no state of the matrix")
 

@@ -15,6 +15,7 @@ sweep of the CSR survivor matrix, the same sweep as the exact oracle in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,8 @@ class PhaseSlice:
     """Transition matrix of the conditioned chain arriving at one phase.
 
     Rows are the class states alive at the previous phase, columns those
-    alive at ``phase``; each row sums to 1.
+    alive at ``phase``; each row sums to 1.  ``row_positions`` and
+    ``col_positions`` map each label to its row or column.
     """
 
     phase: int
@@ -46,17 +48,19 @@ class PhaseSlice:
     col_states: tuple[str, ...]
     matrix: np.ndarray
 
+    @cached_property
+    def row_positions(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.row_states)}
+
+    @cached_property
+    def col_positions(self) -> dict[str, int]:
+        return {x: j for j, x in enumerate(self.col_states)}
+
     def row_index(self, label: str) -> int | None:
-        try:
-            return self.row_states.index(label)
-        except ValueError:
-            return None
+        return self.row_positions.get(label)
 
     def col_index(self, label: str) -> int | None:
-        try:
-            return self.col_states.index(label)
-        except ValueError:
-            return None
+        return self.col_positions.get(label)
 
 
 @dataclass(frozen=True, eq=False)

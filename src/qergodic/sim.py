@@ -314,19 +314,16 @@ def simulate_qprocess(
     slices = [kernel.slice_for(n) for n in range(gamma)]
     samplers = [_RowSampler(sl.matrix) for sl in slices]
     col_labels = [np.array(sl.col_states, dtype=object) for sl in slices]
-    row_maps = [
-        {lab: i for i, lab in enumerate(sl.row_states)} for sl in slices
-    ]
     # a state seen as column j of slice n is a row of slice n+1
     col_to_row = [
         np.array(
-            [row_maps[(n + 1) % gamma][lab] for lab in slices[n].col_states],
+            [slices[(n + 1) % gamma].row_positions[lab] for lab in slices[n].col_states],
             dtype=np.int64,
         )
         for n in range(gamma)
     ]
 
-    cur_col = np.full(paths, slices[0].col_states.index(x), dtype=np.int64)
+    cur_col = np.full(paths, slices[0].col_positions[x], dtype=np.int64)
     history = np.empty((paths, steps + 1), dtype=object)
     history[:, 0] = x
     traj = np.arange(paths, dtype=np.uint64)

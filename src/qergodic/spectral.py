@@ -7,7 +7,8 @@ Collatz-Wielandt bracket that certifies it, the full peripheral
 eigensystem and the survival coefficient which prefixes the geometric
 decay of the survival probability.
 
-Conventions.  States are integer indices into the parent matrix.  For a
+Conventions.  States are integer indices into the parent matrix, which
+is read in CSR form (dense input is converted once, on entry).  For a
 class of period ``T`` with cyclic classes ``C_0 .. C_{T-1}`` (the anchor,
 the smallest state index in the class, sits in ``C_0``), one step of the
 chain maps ``C_i`` into ``C_{i+1 mod T}``.  The left Perron vector ``nu``
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy import sparse
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import ConvergenceError, ValidationError
@@ -53,20 +54,21 @@ RHO_TIE_RTOL = 1e-9  # class decay rates this close, relative, tie for the large
 class IrreducibleClass:
     """One communicating class with its Perron data.
 
-    ``states`` are parent-matrix indices in increasing order; ``nu``,
-    ``xi`` and ``submatrix`` are indexed by position within ``states``.
-    A transient singleton without a self-loop gets ``rho = 0``, period 1
-    and trivial vectors.  ``rho_bracket`` holds Collatz-Wielandt bounds
-    ``lo <= rho <= hi``, ``(0.0, 0.0)`` for a transient singleton.
+    ``states`` are parent-matrix indices in increasing order; ``cyclic``,
+    ``nu``, ``xi`` and the CSR ``submatrix`` are indexed by position
+    within ``states``, and ``cyclic[p]`` is the cyclic class of position
+    p.  A transient singleton without a self-loop gets ``rho = 0``,
+    period 1 and trivial vectors.  ``rho_bracket`` holds Collatz-Wielandt
+    bounds ``lo <= rho <= hi``, ``(0.0, 0.0)`` for a transient singleton.
     """
 
     states: tuple[int, ...]
     period: int
-    cyclic_classes: tuple[tuple[int, ...], ...]
+    cyclic: np.ndarray
     rho: float
     nu: np.ndarray
     xi: np.ndarray
-    submatrix: np.ndarray
+    submatrix: sparse.csr_array
     nu_residual: float
     xi_residual: float
     rho_bracket: tuple[float, float]
@@ -76,8 +78,12 @@ class IrreducibleClass:
         return {s: i for i, s in enumerate(self.states)}
 
     @cached_property
-    def _cyclic_of(self) -> dict[int, int]:
-        return {s: j for j, cyc in enumerate(self.cyclic_classes) for s in cyc}
+    def cyclic_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The states of ``C_0 .. C_{T-1}``, each in increasing order."""
+        states = np.asarray(self.states)
+        return tuple(
+            tuple(states[self.cyclic == j].tolist()) for j in range(self.period)
+        )
 
     @property
     def size(self) -> int:
@@ -90,28 +96,23 @@ class IrreducibleClass:
             raise ValidationError(f"state {state} is not in this class") from None
 
     def cyclic_index(self, state: int) -> int:
-        self.position(state)
-        return self._cyclic_of[state]
+        return int(self.cyclic[self.position(state)])
 
     @cached_property
     def nu_cyclic_mass(self) -> np.ndarray:
         """Total ``nu`` mass per cyclic class."""
-        mass = np.zeros(self.period)
-        for j, cyc in enumerate(self.cyclic_classes):
-            mass[j] = sum(self.nu[self.position(s)] for s in cyc)
-        return mass
+        return np.bincount(self.cyclic, self.nu, self.period)
 
 
 @dataclass(frozen=True, eq=False)
 class ClassDecomposition:
     """Partition of the states of a substochastic matrix into classes.
 
-    Classes are ordered by their smallest contained state index.
-    ``edges`` holds the direct transitions between distinct classes in the
-    support digraph.
+    Classes are ordered by their smallest contained state index, and
+    ``class_of[s]`` is the class of state s.  ``edges`` holds the direct
+    transitions between distinct classes in the support digraph.
     """
 
-    matrix: np.ndarray
     classes: tuple[IrreducibleClass, ...]
     class_of: np.ndarray
     edges: tuple[tuple[int, int], ...]
@@ -213,29 +214,21 @@ def _relative_residual(vec: np.ndarray, image: np.ndarray, lam) -> float:
     return float(np.max(np.abs(image - lam * vec)) / scale)
 
 
-def perron_data(Q: np.ndarray, states) -> IrreducibleClass:
-    """Period, cyclic classes and Perron data for one communicating class.
+def _as_csr(Q) -> sparse.csr_array:
+    Q = sparse.csr_array(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {Q.shape}")
+    return Q
 
-    The period is the gcd of directed cycle lengths through the anchor
-    (the smallest state index), obtained from a BFS phase labelling.  The
-    T-step matrix restricted to ``C_0`` is primitive; Noda's iteration
-    gives its right Perron vector and, run again on the transpose, its
-    left one, each with a Collatz-Wielandt bracket of its Perron root.
-    ``rho`` is the T-th root of their Rayleigh quotient, ``rho_bracket``
-    the T-th roots of the hull of both brackets, and the one-step blocks
-    carry both vectors around the other cyclic classes.  Raises
-    ConvergenceError if a bracket cannot be narrowed to ``_BRACKET_RTOL``.
-    """
-    Q = np.asarray(Q, dtype=float)
-    states = tuple(sorted(int(s) for s in states))
+
+def _class_data(sub: sparse.csr_array, states: tuple[int, ...]) -> IrreducibleClass:
+    """Perron data of the class ``states`` with one-step CSR block ``sub``."""
     n = len(states)
-    sub = Q[np.ix_(states, states)].copy()
-
-    if n == 1 and sub[0, 0] <= 0.0:
+    if n == 1 and not np.any(sub.data > 0.0):
         return IrreducibleClass(
             states=states,
             period=1,
-            cyclic_classes=(states,),
+            cyclic=np.zeros(1, dtype=int),
             rho=0.0,
             nu=np.ones(1),
             xi=np.ones(1),
@@ -245,7 +238,7 @@ def perron_data(Q: np.ndarray, states) -> IrreducibleClass:
             rho_bracket=(0.0, 0.0),
         )
 
-    graph = csr_matrix(sub > 0.0)
+    graph = sub > 0.0
     if connected_components(graph, directed=True, connection="strong")[0] != 1:
         raise ValidationError("the given states do not form an irreducible class")
 
@@ -257,19 +250,14 @@ def perron_data(Q: np.ndarray, states) -> IrreducibleClass:
     period = int(np.gcd.reduce(dist[rows] + 1 - dist[cols]))
     if period == 0:
         raise ValidationError("the given states contain no directed cycle")
-
-    cyclic_local = [
-        np.flatnonzero(dist % period == j) for j in range(period)
-    ]
-    cyclic_classes = tuple(
-        tuple(states[i] for i in block) for block in cyclic_local
-    )
+    cyclic = dist % period
+    cyclic_local = [np.flatnonzero(cyclic == j) for j in range(period)]
 
     # T-step matrix on C_0 as a product of the one-step blocks; primitive.
     # Dense solves on it beat a sparse LU of the one-step class matrix,
     # which fills in (250k L+U nonzeros from 3,962 on 1,102 states, T=5).
     blocks = [
-        sub[np.ix_(cyclic_local[j], cyclic_local[(j + 1) % period])]
+        sub[cyclic_local[j]][:, cyclic_local[(j + 1) % period]].toarray()
         for j in range(period)
     ]
     t_step = blocks[0]
@@ -299,7 +287,7 @@ def perron_data(Q: np.ndarray, states) -> IrreducibleClass:
     return IrreducibleClass(
         states=states,
         period=period,
-        cyclic_classes=cyclic_classes,
+        cyclic=cyclic,
         rho=rho,
         nu=nu,
         xi=xi,
@@ -310,42 +298,52 @@ def perron_data(Q: np.ndarray, states) -> IrreducibleClass:
     )
 
 
-def decompose_classes(Q: np.ndarray) -> ClassDecomposition:
-    """Strongly-connected-component partition of the support digraph.
+def perron_data(Q, states) -> IrreducibleClass:
+    """Period, cyclic classes and Perron data for one communicating class.
 
-    Classes come back ordered by smallest contained state index, each
-    carrying its full Perron data.
+    ``Q``, dense or sparse, is converted to CSR once.  The period is the
+    gcd of directed cycle lengths through the anchor (the smallest state
+    index), obtained from a BFS phase labelling.  The T-step matrix
+    restricted to ``C_0`` is primitive; Noda's iteration gives its right
+    Perron vector and, run again on the transpose, its left one, each with
+    a Collatz-Wielandt bracket of its Perron root.  ``rho`` is the T-th
+    root of their Rayleigh quotient, ``rho_bracket`` the T-th roots of the
+    hull of both brackets, and the one-step blocks carry both vectors
+    around the other cyclic classes.  Raises ConvergenceError if a bracket
+    cannot be narrowed to ``_BRACKET_RTOL``.
     """
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {Q.shape}")
-    n = Q.shape[0]
-    if n == 0:
-        return ClassDecomposition(Q, (), np.zeros(0, dtype=int), ())
+    Q = _as_csr(Q)
+    states = tuple(sorted(int(s) for s in states))
+    idx = np.array(states, dtype=int)
+    return _class_data(Q[idx][:, idx], states)
 
-    _, raw_labels = connected_components(
-        csr_matrix(Q > 0.0), directed=True, connection="strong"
+
+def decompose_classes(Q) -> ClassDecomposition:
+    """Strongly-connected-component partition of the positive pattern.
+
+    ``Q``, dense or sparse, is converted to CSR once.  Classes come back
+    ordered by smallest contained state index, each carrying its full
+    Perron data; their blocks are cut from one class-ordered permutation
+    of ``Q``.
+    """
+    Q = _as_csr(Q)
+    positive = Q > 0.0
+    _, raw = connected_components(positive, directed=True, connection="strong")
+    _, first = np.unique(raw, return_index=True)
+    class_of = np.argsort(np.argsort(first))[raw]  # numbered by smallest state
+
+    order = np.argsort(class_of, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(class_of))))
+    permuted = Q[order][:, order]
+    classes = tuple(
+        _class_data(permuted[lo:hi, lo:hi], tuple(order[lo:hi].tolist()))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     )
-    groups: dict[int, list[int]] = {}
-    for state, lab in enumerate(raw_labels):
-        groups.setdefault(int(lab), []).append(state)
-    ordered = sorted(groups.values(), key=min)
 
-    class_of = np.zeros(n, dtype=int)
-    classes = []
-    for idx, members in enumerate(ordered):
-        class_of[members] = idx
-        classes.append(perron_data(Q, members))
-
-    rows, cols = np.nonzero(Q > 0.0)
-    edges = sorted(
-        {
-            (int(class_of[a]), int(class_of[b]))
-            for a, b in zip(rows, cols)
-            if class_of[a] != class_of[b]
-        }
-    )
-    return ClassDecomposition(Q, tuple(classes), class_of, tuple(edges))
+    rows, cols = positive.nonzero()
+    pairs = np.stack([class_of[rows], class_of[cols]], axis=1)
+    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    return ClassDecomposition(classes, class_of, tuple(map(tuple, pairs.tolist())))
 
 
 def peripheral_system(cls: IrreducibleClass) -> PeripheralSystem:
@@ -357,16 +355,10 @@ def peripheral_system(cls: IrreducibleClass) -> PeripheralSystem:
     the right vector the conjugate factor.
     """
     T = cls.period
-    n = cls.size
     lambdas = cls.rho * np.exp(2j * np.pi * np.arange(T) / T)
-    left = np.zeros((T, n), dtype=complex)
-    right = np.zeros((T, n), dtype=complex)
-    for j, cyc in enumerate(cls.cyclic_classes):
-        pos = [cls.position(s) for s in cyc]
-        for k in range(T):
-            phase = 2.0 * np.pi * j * k / T
-            left[k, pos] = np.exp(-1j * phase) * cls.nu[pos]
-            right[k, pos] = np.exp(1j * phase) * cls.xi[pos]
+    phase = 2.0 * np.pi * cls.cyclic * np.arange(T)[:, None] / T  # row k
+    left = np.exp(-1j * phase) * cls.nu
+    right = np.exp(1j * phase) * cls.xi
     sub = cls.submatrix
     left_res = max(
         (_relative_residual(left[k], left[k] @ sub, lambdas[k]) for k in range(T)),
@@ -431,7 +423,7 @@ def verify_eigenprojection(cls: IrreducibleClass, state: int) -> EigenProjection
     )
 
 
-def spectral_radius(Q: np.ndarray) -> float:
+def spectral_radius(Q) -> float:
     """Spectral radius of a nonnegative matrix via its class structure.
 
     Equals the largest class Perron root, so a reducible matrix, which

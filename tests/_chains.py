@@ -16,6 +16,7 @@ from qergodic import (
     MovingBoundary,
     StateSpace,
     TransitionKernel,
+    ValidationError,
     fixed_walk,
     lift_chain,
     moving_walk,
@@ -142,6 +143,36 @@ def chained_tie():
     )
 
 
+def ladder_chain(S: int) -> AbsorbedChainProblem:
+    """A long transient ladder feeding a 10-cycle, killed at an absorbing sink.
+
+    States ``s0 .. s{S-1}`` with gamma = 1; ``s{S-1}`` is the sink and the
+    killing set.  Each of the first S - 11 states sends 0.98 evenly to 3
+    distinct later non-sink states, drawn by ``default_rng(0)``, and 0.02
+    to the sink, so each is a transient singleton class; the last 10
+    non-sink states form a 10-cycle that moves forward with probability
+    0.9 and leaks 0.1 to the sink.  The start is uniform on the non-sink
+    states.
+    """
+    rng = np.random.default_rng(0)
+    sink = S - 1
+    labels = tuple(f"s{i}" for i in range(S))
+    P = np.zeros((S, S))
+    for i in range(sink - 10):
+        P[i, rng.choice(np.arange(i + 1, sink), 3, replace=False)] = 0.98 / 3
+        P[i, sink] = 0.02
+    ring = np.arange(sink - 10, sink)
+    P[ring, np.roll(ring, -1)] = 0.9
+    P[ring, sink] = 0.1
+    P[sink, sink] = 1.0
+    return AbsorbedChainProblem(
+        StateSpace(labels),
+        TransitionKernel(P),
+        MovingBoundary(1, (frozenset({labels[sink]}),)),
+        Distribution.uniform(labels[:sink]),
+    )
+
+
 def random_problem(rng, n_states=None, gamma=None) -> AbsorbedChainProblem:
     """A random valid problem with surviving mass for at least 2 periods."""
     while True:
@@ -168,12 +199,36 @@ def random_problem(rng, n_states=None, gamma=None) -> AbsorbedChainProblem:
         if validate_problem(problem):
             continue
         lifted = lift_chain(problem, validate=False)
+        Q = lifted.survivor_matrix
         u = np.ones(len(lifted.survivors))
         for _ in range(2 * g + 2):
-            u = lifted.survivor_matrix @ u
+            u = Q @ u
         if float(lifted.normalized_initial() @ u) <= 1e-9:
             continue
         return problem
+
+
+def survivor_restriction(space: StateSpace, kernel, killing_set):
+    """Restrict a kernel to the complement of a killing set.
+
+    Reference for the lift with one phase: returns the substochastic
+    matrix on survivors together with the surviving labels (in
+    state-space order).  Row deficits are the one-step killing
+    probabilities.
+    """
+    killed = frozenset(killing_set)
+    unknown = sorted(x for x in killed if x not in space)
+    if unknown:
+        raise ValidationError(f"killing set contains unknown states {unknown}")
+    survivors = tuple(x for x in space.labels if x not in killed)
+    if not survivors:
+        raise ValidationError("empty survivor set")
+    if isinstance(kernel, TransitionKernel):
+        P = kernel.normalized()
+    else:
+        P = np.asarray(kernel, dtype=float)
+    idx = [space.index(x) for x in survivors]
+    return P[np.ix_(idx, idx)].copy(), survivors
 
 
 def lift_by_phase(problem: AbsorbedChainProblem):
@@ -331,9 +386,10 @@ def conditional_law_brute(problem: AbsorbedChainProblem, n: int) -> dict[str, fl
 def survival_probability_exact(problem: AbsorbedChainProblem, n: int) -> float:
     """P(alive at n) from lifted matrix powers, inline."""
     lifted = lift_chain(problem, validate=False)
+    Q = lifted.survivor_matrix
     u = np.ones(len(lifted.survivors))
     for _ in range(n):
-        u = lifted.survivor_matrix @ u
+        u = Q @ u
     return float(lifted.normalized_initial() @ u)
 
 
@@ -341,7 +397,8 @@ def survival_probability_from_state(
     problem: AbsorbedChainProblem, label: str, phase: int, n: int
 ) -> float:
     lifted = lift_chain(problem, validate=False)
+    Q = lifted.survivor_matrix
     u = np.ones(len(lifted.survivors))
     for _ in range(n):
-        u = lifted.survivor_matrix @ u
+        u = Q @ u
     return float(u[lifted.survivor_index[(label, phase)]])

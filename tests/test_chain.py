@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
 import qergodic
 from qergodic import (
@@ -16,6 +17,7 @@ from qergodic import (
     build_qprocess,
     build_qprocess_dominant,
     conditional_law,
+    decompose_classes,
     estimate_conditionals,
     finite_horizon_qlaw,
     lift_chain,
@@ -27,12 +29,11 @@ from qergodic import (
     qed_moving,
     qld_cycle,
     save_problem,
-    survivor_restriction,
     validate_problem,
 )
 from qergodic import chain, cli, conditioning, qed, qprocess, spectral
 from qergodic.cli import main
-from _chains import lift_by_phase, n3_walk, random_problem
+from _chains import lift_by_phase, n3_walk, random_problem, survivor_restriction
 
 
 @pytest.fixture()
@@ -217,6 +218,18 @@ def test_survivor_matrix_matches_per_phase_assembly(seed):
     assert lifted.survivors == survivors
     assert lifted.survivor_matrix.shape == Q.shape
     assert lifted.survivor_matrix.tobytes() == Q.tobytes()
+    built, reference = lifted.survivor_csr, sparse.csr_array(Q)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(built, name), getattr(reference, name))
+    dense, compressed = decompose_classes(Q), decompose_classes(built)
+    np.testing.assert_array_equal(dense.class_of, compressed.class_of)
+    assert dense.edges == compressed.edges
+    for a, b in zip(dense.classes, compressed.classes, strict=True):
+        assert (a.states, a.period, a.rho, a.rho_bracket) == (
+            b.states, b.period, b.rho, b.rho_bracket
+        )
+        for name in ("cyclic", "nu", "xi"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 F = {"3": 1.0}
@@ -252,6 +265,33 @@ def test_each_call_decomposes_once(entry, decompositions, tmp_path):
     save_problem(problem, spec)
     ENTRY_POINTS[entry](problem, spec)
     assert len(decompositions) == 1
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "qed_moving",
+        "build_qprocess_dominant",
+        "qld_cycle",
+        "mean_ratio_curve",
+        "finite_horizon_qlaw",
+        "validate_problem",
+        "cli_analyze",
+    ],
+)
+def test_analysis_never_reads_a_dense_lift(entry, monkeypatch, tmp_path):
+    def dense(self):
+        raise AssertionError("the library read a dense copy of the lift")
+
+    monkeypatch.setattr(chain.LiftedChain, "survivor_matrix", property(dense))
+    monkeypatch.setattr(chain.LiftedChain, "matrix", property(dense))
+    problem = n3_walk()
+    spec = tmp_path / "walk.json"
+    save_problem(problem, spec)
+    if entry == "validate_problem":
+        assert validate_problem(problem) == []
+    else:
+        ENTRY_POINTS[entry](problem, spec)
 
 
 def test_survivor_restriction_k2_matrix():

@@ -32,9 +32,11 @@ from _chains import (
     dense_sweep,
     k2_walk,
     k5_walk,
+    ladder_chain,
     n3_walk,
     random_problem,
     survival_paths,
+    survivor_restriction,
     three_cycle,
     two_copies_tied,
 )
@@ -127,8 +129,6 @@ def test_collapsed_chain_n3_row():
 
 
 def test_collapsed_chain_gamma_one_is_survivor_restriction():
-    from qergodic import survivor_restriction
-
     prob = k2_walk(p=0.4)
     cc = collapsed_chain(prob, 0)
     Q, survivors = survivor_restriction(
@@ -333,6 +333,17 @@ def test_qld_cycle_with_upstream_and_downstream_classes(ring):
     for offset, dist in zip(cycle.offsets, cycle.distributions):
         assert dist.tv_distance(conditional_law(problem, 600 + offset)) < 1e-9
     assert all(d.weights["d"] > 0.0 for d in cycle.distributions)
+
+
+def test_qld_cycle_on_a_long_transient_ladder():
+    # 139 transient singleton classes feed the ring: the ancestor set of
+    # the dominant class spans almost every state
+    problem = ladder_chain(150)
+    cycle = qld_cycle(problem)
+    assert cycle.period == 10
+    laws = conditional_law_sequence(problem, 160 + cycle.period)
+    for offset, dist in zip(cycle.offsets, cycle.distributions):
+        assert dist.tv_distance(laws[160 + offset]) < 1e-9
 
 
 def test_qld_cycle_certificate_rejects_a_wrong_cycle(monkeypatch):

@@ -106,7 +106,7 @@ def test_cyclic_classes_are_respected_by_one_step():
         for cls in dec.classes:
             if cls.rho == 0.0:
                 continue
-            sub = cls.submatrix
+            sub = cls.submatrix.toarray()
             for j, cyc in enumerate(cls.cyclic_classes):
                 nxt = set(cls.cyclic_classes[(j + 1) % cls.period])
                 for s in cyc:
