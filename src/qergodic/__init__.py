@@ -7,6 +7,10 @@ periodic Perron theory, conditioned-law evolution and its limit cycles,
 mean-ratio (quasi-ergodic) distributions, the chain conditioned to
 survive forever, closed-form random-walk oracles, and a reproducible
 Monte Carlo engine for cross-checking every spectral prediction.
+
+Importing the package loads numpy only.  scipy is imported on first use
+by the lift's survivor matrix, the class decomposition and the limit
+cycle's peripheral solves, so the Monte Carlo path never loads it.
 """
 
 from .chain import (

@@ -16,13 +16,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ValidationError
 from .spectral import ClassDecomposition, decompose_classes
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "ROW_SUM_TOL",
@@ -291,6 +293,8 @@ class LiftedChain:
 
     @cached_property
     def survivor_csr(self) -> sparse.csr_array:
+        from scipy import sparse
+
         # (x, k) -> (y, k') carries P(x, y) exactly when k' = k + 1 mod gamma;
         # the flat positions of alive are k * S + x, the order of the kron
         shift = sparse.csr_array(np.roll(np.eye(self.gamma), 1, axis=1))
@@ -462,6 +466,8 @@ def problem_from_dict(data: Mapping) -> AbsorbedChainProblem:
             isinstance(row, list) and len(row) == space.size,
             f"field 'kernel[{i}]': expected {space.size} entries",
         )
+        if set(map(type, row)) <= {int, float}:  # checked in bulk; scan to name a cell
+            continue
         for j, v in enumerate(row):
             _expect(
                 isinstance(v, (int, float)) and not isinstance(v, bool),

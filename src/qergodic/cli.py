@@ -250,19 +250,16 @@ def cmd_simulate(args) -> int:
     )
     estimates = estimate_conditionals(problem, f, config)
     curve_csv = _out_sibling(args, "_estimates.csv")
+    counts, law_counts = estimates.survivor_counts, estimates.law_counts
+    p_hat = counts / config.trajectories
+    se = np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / config.trajectories)
+    # counts never grow and the horizon has survivors, so no row divides by 0
+    laws = law_counts / counts[:, None]
+    rows = zip(counts.tolist(), p_hat.tolist(), se.tolist(), laws.tolist())
     with open(curve_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "survivors", "p_survival", "se_survival", *estimates.labels])
-        n_total = config.trajectories
-        for n, count in enumerate(estimates.survivor_counts):
-            p_hat = count / n_total
-            se = float(np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_total))
-            law = (
-                estimates.law_counts[n] / count
-                if count
-                else np.zeros_like(estimates.law_counts[n], dtype=float)
-            )
-            writer.writerow([n, int(count), repr(p_hat), repr(se), *map(repr, law)])
+        writer.writerows([n, c, p, s, *law] for n, (c, p, s, law) in enumerate(rows))
     report = {
         "meta": _meta(args, "simulate"),
         "trajectories": config.trajectories,

@@ -21,9 +21,6 @@ from itertools import combinations
 from math import comb, lcm
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order
-from scipy.sparse.linalg import spsolve
 
 from .chain import AbsorbedChainProblem, Distribution, lift_chain
 from .errors import ConvergenceError, Hypothesis1Error, NullEventError, ValidationError
@@ -131,14 +128,22 @@ def conditional_law_sequence(
     renormalized; each later time applies one conditioned step at the
     phase of the landing time.
     """
+    return [
+        Distribution.from_array(problem.space, vec)
+        for vec in _law_vectors(problem, n_max, mu)
+    ]
+
+
+def _law_vectors(problem, n_max: int, mu=None) -> list[np.ndarray]:
+    """The laws of :func:`conditional_law_sequence` as state-space vectors."""
     if n_max < 0:
         raise ValueError("horizon must be nonnegative")
     P = problem.kernel.normalized()
     vec = _initial_vector(problem, mu)
-    laws = [Distribution.from_array(problem.space, vec)]
+    laws = [vec]
     for n in range(1, n_max + 1):
         vec = _step_vector(problem, P, vec, n % problem.gamma)
-        laws.append(Distribution.from_array(problem.space, vec))
+        laws.append(vec)
     return laws
 
 
@@ -214,6 +219,10 @@ def _peripheral_laws(lifted, i: int, live: set[int], T: int) -> np.ndarray:
     ``rho L_{j+1} = L_j Q`` on W (nonsingular, as U and W decay faster).
     The terms are nonnegative, so no rounding lands on uncharged states.
     """
+    from scipy import sparse
+    from scipy.sparse.csgraph import breadth_first_order
+    from scipy.sparse.linalg import spsolve
+
     dec, Q = lifted.decomposition, lifted.survivor_csr
     mu = lifted.normalized_initial()
     cls = dec.classes[i]
@@ -512,19 +521,16 @@ def write_mean_ratio_csv(problem: AbsorbedChainProblem, f, n_max: int, path) -> 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "mean_ratio"])
-        for n, v in enumerate(values, start=1):
-            writer.writerow([n, repr(float(v))])
+        writer.writerows(enumerate(values.tolist(), start=1))
     return values
 
 
 def write_conditional_laws_csv(problem: AbsorbedChainProblem, n_max: int, path):
     """Conditioned laws for times 0..n_max, one column per state."""
-    laws = conditional_law_sequence(problem, n_max)
-    labels = problem.space.labels
+    laws = _law_vectors(problem, n_max)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", *labels])
-        for n, law in enumerate(laws):
-            writer.writerow(
-                [n, *(repr(law.weights.get(x, 0.0)) for x in labels)]
-            )
+        writer.writerow(["n", *problem.space.labels])
+        # csv writes a float as its repr; adding 0.0 turns a -0.0 weight of
+        # the initial law into the 0.0 that conditional_law_sequence reports
+        writer.writerows([n, *(vec + 0.0).tolist()] for n, vec in enumerate(laws))

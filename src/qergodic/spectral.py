@@ -22,12 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import ConvergenceError, ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "IrreducibleClass",
@@ -215,6 +217,8 @@ def _relative_residual(vec: np.ndarray, image: np.ndarray, lam) -> float:
 
 
 def _as_csr(Q) -> sparse.csr_array:
+    from scipy import sparse
+
     Q = sparse.csr_array(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {Q.shape}")
@@ -223,6 +227,8 @@ def _as_csr(Q) -> sparse.csr_array:
 
 def _class_data(sub: sparse.csr_array, states: tuple[int, ...]) -> IrreducibleClass:
     """Perron data of the class ``states`` with one-step CSR block ``sub``."""
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
     n = len(states)
     if n == 1 and not np.any(sub.data > 0.0):
         return IrreducibleClass(
@@ -326,6 +332,8 @@ def decompose_classes(Q) -> ClassDecomposition:
     Perron data; their blocks are cut from one class-ordered permutation
     of ``Q``.
     """
+    from scipy.sparse.csgraph import connected_components
+
     Q = _as_csr(Q)
     positive = Q > 0.0
     _, raw = connected_components(positive, directed=True, connection="strong")

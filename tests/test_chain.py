@@ -379,3 +379,51 @@ def test_loader_diagnoses_field_errors():
             '{"states": ["a", "b"], "kernel": [[1.0]], "gamma": 1,'
             ' "killing_sets": [[]], "initial": {"a": 1.0}}'
         )
+
+
+def _spec_with_kernel(kernel) -> dict:
+    return {
+        "states": ["a", "b"],
+        "kernel": kernel,
+        "gamma": 1,
+        "killing_sets": [["b"]],
+        "initial": {"a": 1.0},
+    }
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None, [0.5]])
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_loader_names_the_first_non_numeric_kernel_cell(bad, i, j):
+    kernel = [[0.5, 0.5], [0.0, 1.0]]
+    kernel[i][j] = bad
+    with pytest.raises(ValidationError) as info:
+        problem_from_dict(_spec_with_kernel(kernel))
+    assert str(info.value) == f"field 'kernel[{i}][{j}]': expected a number"
+    # loaded from JSON text the same cell is named
+    with pytest.raises(ValidationError) as info:
+        loads_problem(json.dumps(_spec_with_kernel(kernel)))
+    assert str(info.value) == f"field 'kernel[{i}][{j}]': expected a number"
+
+
+def test_loader_scans_kernel_cells_row_major():
+    several = [[0.5, 0.5], [False, "x"]]
+    with pytest.raises(ValidationError, match=r"^field 'kernel\[1\]\[0\]': expected"):
+        problem_from_dict(_spec_with_kernel(several))
+    several = [[0.5, None], [True, 1.0]]
+    with pytest.raises(ValidationError, match=r"^field 'kernel\[0\]\[1\]': expected"):
+        problem_from_dict(_spec_with_kernel(several))
+    # a bad cell above a short row is named before the row
+    with pytest.raises(ValidationError, match=r"^field 'kernel\[0\]\[1\]': expected"):
+        problem_from_dict(_spec_with_kernel([[0.5, "x"], [1.0]]))
+    # a short row is named before a bad cell below it
+    with pytest.raises(ValidationError, match=r"^field 'kernel\[0\]': expected 2 entries$"):
+        problem_from_dict(_spec_with_kernel([[1.0], [0.5, "x"]]))
+
+
+def test_loader_accepts_int_and_numpy_float_cells():
+    ints = problem_from_dict(_spec_with_kernel([[0, 1], [0, 1]]))
+    np.testing.assert_array_equal(ints.kernel.matrix, [[0.0, 1.0], [0.0, 1.0]])
+    floats = problem_from_dict(
+        _spec_with_kernel([[np.float64(0.5), 0.5], [0.25, np.float64(0.75)]])
+    )
+    np.testing.assert_array_equal(floats.kernel.matrix, [[0.5, 0.5], [0.25, 0.75]])

@@ -250,3 +250,52 @@ def test_reader_closing_the_pipe_early_is_quiet():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_simulate_estimates_csv_holds_plain_numbers(walk_file, tmp_path):
+    out = tmp_path / "sim.json"
+    paths = 4000
+    code = main(
+        ["simulate", "--in", str(walk_file), "--seed", "3", "--paths", str(paths),
+         "--horizon", "30", "--out", str(out)]
+    )
+    assert code == 0
+    lines = (tmp_path / "sim_estimates.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[:4] == ["n", "survivors", "p_survival", "se_survival"]
+    assert header[4:] == list(load_problem(walk_file).space.labels)
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == list(range(31))
+    for row in rows:
+        assert row[1] > 0  # simulate fails when no path reaches the horizon
+        assert row[2] == row[1] / paths
+        assert abs(sum(row[4:]) - 1.0) <= 1e-12
+
+
+SCIPY_PROBE = """
+import sys
+{code}
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_import_and_monte_carlo_load_no_scipy(tmp_path):
+    spec = tmp_path / "walk.json"
+    save_problem(moving_walk(0.45, 5), spec)
+    randomwalk = ["randomwalk", "--p", "0.45", "--N", "5", "--out", str(tmp_path / "w.json")]
+    simulate = ["simulate", "--in", str(spec), "--paths", "200", "--horizon", "10",
+                "--out", str(tmp_path / "sim.json")]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for code in (
+        "import qergodic",
+        f"from qergodic.cli import main; assert main({randomwalk!r}) == 0",
+        f"from qergodic.cli import main; assert main({simulate!r}) == 0",
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE.format(code=code)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]", code

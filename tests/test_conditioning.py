@@ -499,6 +499,41 @@ def test_csv_emitters(tmp_path):
     assert len(law_lines) == 10
 
 
+SIGNED_ZERO_START = AbsorbedChainProblem(
+    StateSpace(("a", "b", "c")),
+    TransitionKernel(np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]])),
+    MovingBoundary(1, (frozenset({"c"}),)),
+    Distribution({"a": 1.0, "b": -0.0}),
+)
+
+
+@pytest.mark.parametrize(
+    "problem, n_max",
+    [
+        (moving_walk(0.45, 20), 60),
+        (random_problem(np.random.default_rng(3)), 12),
+        (random_problem(np.random.default_rng(11)), 12),
+        (SIGNED_ZERO_START, 3),
+    ],
+    ids=["walk", "random3", "random11", "signed_zero_start"],
+)
+def test_conditional_laws_csv_reads_back_the_law_sequence(problem, n_max, tmp_path):
+    path = tmp_path / "laws.csv"
+    write_conditional_laws_csv(problem, n_max, path)
+    text = path.read_bytes().decode("utf-8")
+    lines = text.split("\r\n")
+    assert lines.pop() == ""  # every row ends in \r\n
+    labels = problem.space.labels
+    assert lines[0] == ",".join(["n", *labels])
+    laws = conditional_law_sequence(problem, n_max)
+    assert len(lines) == n_max + 2
+    for k, (line, law) in enumerate(zip(lines[1:], laws)):
+        cells = line.split(",")
+        assert cells[0] == str(k)
+        assert not any(c.startswith("-") for c in cells)  # no -0.0 weight
+        assert [float(c) for c in cells[1:]] == [law.weights.get(x, 0.0) for x in labels]
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
 def test_composition_equals_sequence(seed, n):
