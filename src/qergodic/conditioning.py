@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb, lcm
 
 import numpy as np
 
 from .chain import AbsorbedChainProblem, Distribution, lift_chain
 from .errors import ConvergenceError, Hypothesis1Error, NullEventError, ValidationError
-from .spectral import RHO_TIE_RTOL
+from .spectral import RHO_TIE_RTOL, _as_csr, decompose_classes
 
 __all__ = [
     "CollapsedChain",
@@ -45,6 +45,7 @@ __all__ = [
 
 _SAME_LAW_TV = 1e-9  # laws this close in TV are equal (cycle period, certificates)
 _GRID_BUDGET = 2_500_000  # most simplex points the fixed-point search scans
+_CHUNK_BYTES = 1 << 24  # one float array of grid points scored at a time
 
 
 def state_function(problem: AbsorbedChainProblem, f) -> np.ndarray:
@@ -209,6 +210,16 @@ class QldCycle:
         return "no quasi-limiting distribution: conditioned laws cycle"
 
 
+def _cyclic_solve(rho: float, A, B: np.ndarray, shift: int) -> np.ndarray:
+    """``Y`` with ``rho Y[j] - A Y[j + shift] = B[j]``, rows j mod ``len(B)``."""
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
+    cyclic = sparse.kron(np.roll(np.eye(len(B)), shift, axis=1), A)
+    M = sparse.csc_matrix(rho * sparse.identity(B.size) - cyclic)
+    return spsolve(M, B.ravel()).reshape(B.shape) if B.size else B
+
+
 def _peripheral_laws(lifted, i: int, live: set[int], T: int) -> np.ndarray:
     """Lifted laws ``mu Pi_r``, r < T, of the peripheral projector of class i.
 
@@ -219,20 +230,13 @@ def _peripheral_laws(lifted, i: int, live: set[int], T: int) -> np.ndarray:
     ``rho L_{j+1} = L_j Q`` on W (nonsingular, as U and W decay faster).
     The terms are nonnegative, so no rounding lands on uncharged states.
     """
-    from scipy import sparse
     from scipy.sparse.csgraph import breadth_first_order
-    from scipy.sparse.linalg import spsolve
 
     dec, Q = lifted.decomposition, lifted.survivor_csr
     mu = lifted.normalized_initial()
     cls = dec.classes[i]
     R, L = np.zeros((2, cls.period, len(mu)))
     R[cls.cyclic, list(cls.states)], L[cls.cyclic, list(cls.states)] = cls.xi, cls.nu
-
-    def solve(A, B, shift):  # rho Y[j] - A Y[j + shift] = B[j], j mod T_i
-        cyclic = sparse.kron(np.roll(np.eye(len(B)), shift, axis=1), A)
-        M = sparse.csc_matrix(cls.rho * sparse.identity(B.size) - cyclic)
-        return spsolve(M, B.ravel()).reshape(B.shape) if B.size else B
 
     # U: live ancestors of class i, W: its descendants; one search each
     up, down = np.zeros((2, len(mu)), dtype=bool)
@@ -241,8 +245,8 @@ def _peripheral_laws(lifted, i: int, live: set[int], T: int) -> np.ndarray:
     outside = dec.class_of != i
     U = np.flatnonzero(up & outside & np.isin(dec.class_of, list(live)))
     W = np.flatnonzero(down & outside)
-    R_U = solve(Q[U][:, U], np.roll(R, -1, axis=0) @ Q[U].T, 1)
-    L[:, W] = solve(Q[W][:, W].T, np.roll(L, 1, axis=0) @ Q[:, W], -1)
+    R_U = _cyclic_solve(cls.rho, Q[U][:, U], np.roll(R, -1, axis=0) @ Q[U].T, 1)
+    L[:, W] = _cyclic_solve(cls.rho, Q[W][:, W].T, np.roll(L, 1, axis=0) @ Q[:, W], -1)
     weights = cls.period * (R @ mu + R_U @ mu[U])
     return np.array([weights @ np.roll(L, -r, axis=0) for r in range(T)])
 
@@ -383,8 +387,8 @@ class FixedPointSearch:
     ``grid_min_gap`` is the smallest, over a simplex grid on the common
     survival support, of the worst total-variation displacement under the
     phase maps; ``eigen_candidates`` are the per-phase invariant laws
-    read off the phase survivor matrices, with their worst displacement
-    under the other phases in ``eigen_gaps``.
+    ``(phase, rho, law)``, one per distinguished class of the phase
+    survivor matrix, with their worst displacement in ``eigen_gaps``.
     """
 
     common_support: tuple[str, ...]
@@ -397,18 +401,18 @@ class FixedPointSearch:
     has_common_fixed_point: bool
 
 
-def _simplex_grid(d: int, steps: int) -> np.ndarray:
-    """All nonnegative integer vectors of length d summing to steps."""
-    if d == 1:
-        return np.array([[steps]])
-    rows = []
-    for first in range(steps + 1):
-        rest = _simplex_grid(d - 1, steps - first)
-        block = np.empty((rest.shape[0], d), dtype=int)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        rows.append(block)
-    return np.vstack(rows)
+def _simplex_grid(d: int, steps: int, rows: int):
+    """Nonnegative integer vectors of length d summing to steps, ``rows``
+    at a time, in lexicographic order: the gaps between d - 1 bars in
+    ``steps + d - 1`` slots, bar positions taken in lexicographic order."""
+    slots = steps + d - 1
+    bars = combinations(range(slots), d - 1)
+    total = comb(slots, d - 1)
+    for lo in range(0, total, rows):
+        n = min(rows, total - lo)
+        flat = np.fromiter(chain.from_iterable(islice(bars, n)), int, n * (d - 1))
+        edges = np.pad(flat.reshape(n, d - 1), ((0, 0), (1, 1)), constant_values=(-1, slots))
+        yield np.diff(edges, axis=1) - 1
 
 
 def _phase_gaps(problem, P, laws: np.ndarray) -> np.ndarray:
@@ -420,8 +424,9 @@ def _phase_gaps(problem, P, laws: np.ndarray) -> np.ndarray:
         out = pushed * alive
         totals = out.sum(axis=1)
         ok = totals > 0.0
-        tvs = np.ones(laws.shape[0])
-        tvs[ok] = 0.5 * np.abs(out[ok] / totals[ok, None] - laws[ok]).sum(axis=1)
+        out /= np.where(ok, totals, 1.0)[:, None]
+        out -= laws
+        tvs = np.where(ok, 0.5 * np.abs(out, out=out).sum(axis=1), 1.0)
         gap = np.maximum(gap, tvs)
     return gap
 
@@ -433,11 +438,17 @@ def qsd_fixed_point_search(
 
     A common fixed point would have to live on the intersection of all
     survival sets, so the grid scans that simplex (coarsened until it has
-    at most ``_GRID_BUDGET`` points); the eigen candidates cover the exact
-    invariant laws of each phase (nonnegative left eigenvectors of the
-    phase survivor matrix).  A positive ``grid_min_gap`` together with
-    positive ``eigen_gaps`` certifies nonexistence at the grid resolution.
+    at most ``_GRID_BUDGET`` points) in chunks of about ``_CHUNK_BYTES``
+    per float array.  The eigen candidates are the nonnegative left
+    eigenvectors of each phase survivor matrix, one per distinguished
+    class C: ``rho_C > 0`` beats, beyond the ``RHO_TIE_RTOL`` tie, every
+    class C reaches (Schneider, LAA 84, 1986), and ``nu_C`` extends by
+    ``nu_C Q_CW (rho_C - Q_WW)^{-1}`` onto those classes W.  A positive
+    ``grid_min_gap`` with positive ``eigen_gaps`` certifies nonexistence
+    at the grid resolution.
     """
+    if not 0.0 < grid_step < np.inf:
+        raise ValidationError(f"grid_step must be positive and finite, got {grid_step!r}")
     space = problem.space
     P = problem.kernel.normalized()
     common_idx = np.flatnonzero(problem.alive.all(axis=0))
@@ -449,14 +460,11 @@ def qsd_fixed_point_search(
     if common:
         d = len(common)
         steps = max(1, round(1.0 / grid_step))
-        while comb(steps + d - 1, d - 1) > _GRID_BUDGET:
+        while (points := comb(steps + d - 1, d - 1)) > _GRID_BUDGET:
             steps //= 2
         grid_step = 1.0 / steps
-        counts = _simplex_grid(d, steps)
-        points = counts.shape[0]
-        chunk = 200_000
-        for lo in range(0, points, chunk):
-            block = counts[lo:lo + chunk].astype(float) / steps
+        for counts in _simplex_grid(d, steps, max(1, _CHUNK_BYTES // (8 * space.size))):
+            block = counts / steps
             embedded = np.zeros((block.shape[0], space.size))
             embedded[:, common_idx] = block
             gap = _phase_gaps(problem, P, embedded)
@@ -468,30 +476,22 @@ def qsd_fixed_point_search(
                 )
 
     candidates: list[tuple[int, float, Distribution]] = []
-    laws = []
     for m, alive in enumerate(problem.alive):
-        surv = problem.survivors(m)
-        eigvals, eigvecs = np.linalg.eig(P[np.ix_(alive, alive)].T)
-        for i, lam in enumerate(eigvals):
-            if abs(lam.imag) > 1e-9 or lam.real <= 1e-9:
-                continue
-            v = eigvecs[:, i]
-            pivot = v[int(np.argmax(np.abs(v)))]
-            v = v / pivot
-            if np.max(np.abs(v.imag)) > 1e-9:
-                continue
-            v = v.real
-            if np.min(v) < -1e-9:
-                continue
-            v = np.clip(v, 0.0, None)
-            total = v.sum()
-            if total <= 0.0:
-                continue
-            dist = Distribution({x: float(w / total) for x, w in zip(surv, v)})
-            if all(dist.tv_distance(c[2]) > 1e-9 for c in candidates):
-                candidates.append((m, float(lam.real), dist))
-                laws.append(dist.to_array(space))
-    eigen_gaps = _phase_gaps(problem, P, np.array(laws).reshape(-1, space.size))
+        Q = _as_csr(P[np.ix_(alive, alive)])
+        dec = decompose_classes(Q)
+        for i, cls in enumerate(dec.classes):
+            below, floor = dec.reachable_from({i}), cls.rho * (1.0 - RHO_TIE_RTOL)
+            if cls.rho <= 0.0 or any(dec.classes[j].rho >= floor for j in below):
+                continue  # not distinguished: no nonnegative eigenvector starts here
+            law = np.zeros((1, Q.shape[0]))
+            law[0, list(cls.states)] = cls.nu
+            W = np.flatnonzero(np.isin(dec.class_of, list(below)))
+            law[:, W] = _cyclic_solve(cls.rho, Q[W][:, W].T, law @ Q[:, W], -1)
+            dist = Distribution(dict(zip(problem.survivors(m), law[0] / law.sum())))
+            if all(dist.tv_distance(c[2]) > _SAME_LAW_TV for c in candidates):
+                candidates.append((m, cls.rho, dist))
+    laws = np.array([c[2].to_array(space) for c in candidates]).reshape(-1, space.size)
+    eigen_gaps = _phase_gaps(problem, P, laws)
 
     return FixedPointSearch(
         common_support=common,

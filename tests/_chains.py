@@ -336,6 +336,53 @@ def dense_draw(matrix: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndar
     return np.argmax(cumulative[states] > u[:, None], axis=1)
 
 
+def simplex_grid_recursive(d: int, steps: int) -> np.ndarray:
+    """All nonnegative integer vectors of length d summing to steps.
+
+    Reference for the library's chunked stars-and-bars grid: the first
+    entry runs over 0..steps and the rest recurses, so rows come in
+    lexicographic order, all at once.
+    """
+    if d == 1:
+        return np.array([[steps]])
+    rows = []
+    for first in range(steps + 1):
+        rest = simplex_grid_recursive(d - 1, steps - first)
+        block = np.empty((rest.shape[0], d), dtype=int)
+        block[:, 0] = first
+        block[:, 1:] = rest
+        rows.append(block)
+    return np.vstack(rows)
+
+
+def eig_candidates(problem: AbsorbedChainProblem):
+    """Per-phase invariant laws read off a dense eigendecomposition.
+
+    Reference for the library's class-decomposition candidates: for each
+    phase, every left eigenvector of the phase survivor matrix whose
+    eigenvalue is real and above 1e-9 and which, scaled by its largest
+    entry, is real and nonnegative to 1e-9; laws within 1e-9 in TV of an
+    earlier one are dropped.  Returns ``(phase, eigenvalue, law)`` with
+    the law as a state-space vector.
+    """
+    P = problem.kernel.normalized()
+    found = []
+    for m, alive in enumerate(problem.alive):
+        eigvals, eigvecs = np.linalg.eig(P[np.ix_(alive, alive)].T)
+        for lam, v in zip(eigvals, eigvecs.T):
+            v = v / v[np.argmax(np.abs(v))]
+            if abs(lam.imag) > 1e-9 or lam.real <= 1e-9:
+                continue
+            if np.max(np.abs(v.imag)) > 1e-9 or np.min(v.real) < -1e-9:
+                continue
+            law = np.zeros(problem.space.size)
+            law[alive] = np.clip(v.real, 0.0, None)
+            law /= law.sum()
+            if all(0.5 * np.abs(law - c[2]).sum() > 1e-9 for c in found):
+                found.append((m, float(lam.real), law))
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------

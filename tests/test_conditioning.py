@@ -11,7 +11,9 @@ from qergodic import (
     NullEventError,
     StateSpace,
     TransitionKernel,
+    ValidationError,
     collapsed_chain,
+    decompose_classes,
     conditional_law,
     conditional_law_sequence,
     conditional_step,
@@ -20,6 +22,7 @@ from qergodic import (
     mean_ratio_curve,
     moving_walk,
     moving_walk_qed,
+    moving_walk_rho,
     qld_cycle,
     qsd_fixed_point_search,
     write_conditional_laws_csv,
@@ -30,13 +33,17 @@ from _chains import (
     chained_tie,
     conditional_law_brute,
     dense_sweep,
+    eig_candidates,
     k2_walk,
     k5_walk,
     ladder_chain,
     n3_walk,
     random_problem,
+    simplex_grid_recursive,
     survival_paths,
     survivor_restriction,
+    swap_with_killing,
+    symmetric_slow_chain,
     three_cycle,
     two_copies_tied,
 )
@@ -483,6 +490,152 @@ def test_fixed_point_gaps_match_conditional_steps(problem):
         assert gap == pytest.approx(max(moves), abs=1e-15)
     # with a fixed boundary the Perron candidate is the QSD, a common fixed point
     assert report.has_common_fixed_point == (problem.gamma == 1)
+
+
+def feeding_chain():
+    """A loop with rate 0.8 feeding a loop with rate 0.5 and a doomed state.
+
+    ``c`` moves to the trap surely, so its class has rate 0.  The loops
+    are both distinguished, and the left Perron vector of ``a`` carries
+    onto ``b`` as ``0.1 / (0.8 - 0.5)`` and onto ``c`` as ``0.05 / 0.8``.
+    """
+    labels = ("a", "b", "c", "trap")
+    P = np.array(
+        [
+            [0.8, 0.1, 0.05, 0.05],
+            [0.0, 0.5, 0.0, 0.5],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    return AbsorbedChainProblem(
+        StateSpace(labels),
+        TransitionKernel(P),
+        MovingBoundary(1, (frozenset({"trap"}),)),
+        Distribution.point_mass("a"),
+    )
+
+
+def test_fixed_point_candidates_extend_to_descendants():
+    report = qsd_fixed_point_search(feeding_chain(), grid_step=0.5)
+    (_, lam_a, law_a), (_, lam_b, law_b) = report.eigen_candidates
+    assert (lam_a, lam_b) == pytest.approx((0.8, 0.5), rel=1e-12)
+    want_a = {"a": 48 / 67, "b": 16 / 67, "c": 3 / 67}
+    assert law_a.weights == pytest.approx(want_a, rel=1e-12)
+    assert law_b.weights == pytest.approx({"a": 0.0, "b": 1.0, "c": 0.0}, abs=1e-15)
+    assert report.has_common_fixed_point
+
+
+def test_phase_gaps_are_one_where_no_mass_survives():
+    problem = feeding_chain()
+    laws = np.array([[0.0, 0.0, 1.0, 0.0], [0.5, 0.25, 0.25, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    want = []
+    for law in laws:
+        dist = Distribution.from_array(problem.space, law)
+        try:
+            want.append(conditional_step(problem, dist, 0).tv_distance(dist))
+        except NullEventError:
+            want.append(1.0)
+    gaps = conditioning._phase_gaps(problem, problem.kernel.normalized(), laws)
+    assert gaps.tolist() == pytest.approx(want, abs=1e-15)
+    assert gaps[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        n3_walk(),
+        k5_walk(0.3),
+        moving_walk(0.45, 200),
+        ladder_chain(40),
+        three_cycle(),
+        chained_tie(),
+        two_copies_tied(),
+        swap_with_killing(),
+        symmetric_slow_chain(),
+        feeding_chain(),
+        random_problem(np.random.default_rng(5)),
+    ],
+)
+def test_fixed_point_candidates_are_left_eigenvectors(problem):
+    P = problem.kernel.normalized()
+    report = qsd_fixed_point_search(problem, grid_step=1.0)
+    assert report.eigen_candidates
+    for m, lam, dist in report.eigen_candidates:
+        alive = problem.alive[m]
+        nu = dist.to_array(problem.space)
+        assert np.all(nu >= 0.0) and nu[~alive].sum() == 0.0
+        nu = nu[alive]
+        residual = np.max(np.abs(nu @ P[np.ix_(alive, alive)] - lam * nu))
+        assert residual <= 1e-10 * np.max(nu)
+
+
+def test_fixed_point_candidates_on_wide_moving_walk():
+    # phase matrices this far from normal defeat a dense eigensolver
+    problem = moving_walk(0.45, 250)
+    P = problem.kernel.normalized()
+    report = qsd_fixed_point_search(problem, grid_step=1e-2)
+    for m, alive in enumerate(problem.alive):
+        (cls,) = decompose_classes(P[np.ix_(alive, alive)]).classes
+        lo, hi = cls.rho_bracket
+        assert any(lo <= lam <= hi for k, lam, _ in report.eigen_candidates if k == m)
+    assert not report.has_common_fixed_point
+
+
+def test_fixed_point_eigenvalue_matches_closed_form():
+    # a dense eigensolver is off by 1.7e-5 relative here; the Perron root is not
+    report = qsd_fixed_point_search(moving_walk(0.45, 200), grid_step=1e-2)
+    (lam,) = [lam for m, lam, _ in report.eigen_candidates if m == 1]
+    assert lam == pytest.approx(moving_walk_rho(0.45, 200, "even"), rel=1e-12)
+
+
+def _assert_candidates_match_dense_eig(problem):
+    report = qsd_fixed_point_search(problem, grid_step=1.0)
+    want = eig_candidates(problem)
+    got = [(m, lam, d.to_array(problem.space)) for m, lam, d in report.eigen_candidates]
+    for phase in range(problem.gamma):
+        mine = [c for c in got if c[0] == phase]
+        ref = [c for c in want if c[0] == phase]
+        assert len(mine) == len(ref)
+        for _, lam, law in ref:
+            assert any(
+                abs(lam - mu) <= 1e-9 and np.max(np.abs(law - v)) <= 1e-9
+                for _, mu, v in mine
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_fixed_point_candidates_match_dense_eig(seed):
+    _assert_candidates_match_dense_eig(random_problem(np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [ladder_chain(30), three_cycle(), chained_tie(), feeding_chain(), n3_walk()],
+    ids=["ladder", "three-cycle", "chained-tie", "feeding", "n3"],
+)
+def test_fixed_point_candidates_match_dense_eig_on_test_chains(problem):
+    _assert_candidates_match_dense_eig(problem)
+
+
+@pytest.mark.parametrize("grid_step", [0.0, -0.1, float("nan"), float("inf")])
+def test_fixed_point_search_rejects_bad_grid_step(grid_step):
+    with pytest.raises(ValidationError, match="grid_step"):
+        qsd_fixed_point_search(n3_walk(), grid_step=grid_step)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10**6])
+@pytest.mark.parametrize(
+    "d, steps", [(1, 1), (1, 5), (2, 4), (3, 1), (6, 7), (4, 20), (5, 9)]
+)
+def test_simplex_grid_chunks_match_recursion(d, steps, rows):
+    chunks = list(conditioning._simplex_grid(d, steps, rows))
+    want = simplex_grid_recursive(d, steps)
+    got = np.concatenate(chunks)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert all(len(c) == rows for c in chunks[:-1]) and 0 < len(chunks[-1]) <= rows
 
 
 def test_csv_emitters(tmp_path):
