@@ -81,7 +81,7 @@ def select_dominant(decomposition: ClassDecomposition, mu: np.ndarray) -> ClassS
     )
 
     warnings = []
-    outside = decomposition.reachable_from(set(charged)) - set(charged)
+    outside = decomposition.reachable_from(charged)
     if outside:
         detail = ", ".join(
             f"class {i} (rho={decomposition.classes[i].rho:.6g})"

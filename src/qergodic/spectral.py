@@ -111,28 +111,29 @@ class ClassDecomposition:
     """Partition of the states of a substochastic matrix into classes.
 
     Classes are ordered by their smallest contained state index, and
-    ``class_of[s]`` is the class of state s.  ``edges`` holds the direct
-    transitions between distinct classes in the support digraph.
+    ``class_of[s]`` is the class of state s.  ``graph``, the C x C CSR
+    condensation, has ``graph[a, b] = 1`` exactly when a state of class a
+    moves directly into class b != a; it answers all reachability queries.
     """
 
     classes: tuple[IrreducibleClass, ...]
     class_of: np.ndarray
-    edges: tuple[tuple[int, int], ...]
+    graph: sparse.csr_array
 
-    def reachable_from(self, class_ids) -> set[int]:
-        """Classes reachable from the given ones, excluding themselves."""
-        start = set(class_ids)
-        adjacency: dict[int, set[int]] = {}
-        for a, b in self.edges:
-            adjacency.setdefault(a, set()).add(b)
-        seen = set(start)
-        stack = list(start)
-        while stack:
-            for nxt in adjacency.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen - start
+    def reachable_from(self, class_ids, reverse: bool = False) -> set[int]:
+        """Classes reachable from the given ones, or with ``reverse`` those
+        that reach them, excluding the given ones: one breadth-first search
+        on ``graph`` (``graph.T``) from a virtual source C wired to each."""
+        from scipy import sparse
+        from scipy.sparse.csgraph import breadth_first_order
+
+        start, C = np.unique(np.fromiter(class_ids, int)), len(self.classes)
+        graph = self.graph.T.tocsr() if reverse else self.graph
+        nnz = graph.nnz + start.size
+        indices, indptr = np.append(graph.indices, start), np.append(graph.indptr, nnz)
+        rooted = sparse.csr_array((np.ones(nnz), indices, indptr), shape=(C + 1, C + 1))
+        found = breadth_first_order(rooted, C, return_predecessors=False)
+        return set(found[1:].tolist()) - set(start.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,13 +331,14 @@ def decompose_classes(Q) -> ClassDecomposition:
     ``Q``, dense or sparse, is converted to CSR once.  Classes come back
     ordered by smallest contained state index, each carrying its full
     Perron data; their blocks are cut from one class-ordered permutation
-    of ``Q``.
+    of ``Q``.  The condensation ``graph`` joins the classes.
     """
+    from scipy import sparse
     from scipy.sparse.csgraph import connected_components
 
     Q = _as_csr(Q)
     positive = Q > 0.0
-    _, raw = connected_components(positive, directed=True, connection="strong")
+    C, raw = connected_components(positive, directed=True, connection="strong")
     _, first = np.unique(raw, return_index=True)
     class_of = np.argsort(np.argsort(first))[raw]  # numbered by smallest state
 
@@ -349,9 +351,10 @@ def decompose_classes(Q) -> ClassDecomposition:
     )
 
     rows, cols = positive.nonzero()
-    pairs = np.stack([class_of[rows], class_of[cols]], axis=1)
-    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
-    return ClassDecomposition(classes, class_of, tuple(map(tuple, pairs.tolist())))
+    pairs = np.unique(class_of[rows] * C + class_of[cols])  # a -> b as a * C + b
+    pairs = pairs[pairs // C != pairs % C]
+    graph = sparse.csr_array((np.ones(pairs.size), divmod(pairs, C)), shape=(C, C))
+    return ClassDecomposition(classes, class_of, graph)
 
 
 def peripheral_system(cls: IrreducibleClass) -> PeripheralSystem:

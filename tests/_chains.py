@@ -208,6 +208,49 @@ def random_problem(rng, n_states=None, gamma=None) -> AbsorbedChainProblem:
         return problem
 
 
+def permuted_problem(problem: AbsorbedChainProblem, rng) -> AbsorbedChainProblem:
+    """The same chain with its states listed in a random order.
+
+    Labels, killing sets and the initial law are unchanged, so a result
+    read by label must not depend on the order.
+    """
+    perm = rng.permutation(problem.space.size)
+    labels = tuple(problem.space.labels[i] for i in perm)
+    return AbsorbedChainProblem(
+        StateSpace(labels),
+        TransitionKernel(problem.kernel.matrix[np.ix_(perm, perm)]),
+        problem.boundary,
+        problem.initial,
+    )
+
+
+def class_edges(Q, class_of) -> set[tuple[int, int]]:
+    """Pairs of distinct classes (a, b) with a positive entry from a into b."""
+    rows, cols = np.nonzero(np.asarray(Q) > 0.0)
+    pairs = zip(class_of[rows].tolist(), class_of[cols].tolist())
+    return {(a, b) for a, b in pairs if a != b}
+
+
+def reachable_dfs(edges, class_ids, reverse=False) -> set[int]:
+    """Classes reachable from ``class_ids`` along ``edges``, excluding
+    themselves, by a depth-first stack search over an adjacency dict; with
+    ``reverse`` the edges are walked backwards."""
+    start = set(class_ids)
+    adjacency: dict[int, set[int]] = {}
+    for a, b in edges:
+        if reverse:
+            a, b = b, a
+        adjacency.setdefault(a, set()).add(b)
+    seen = set(start)
+    stack = list(start)
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen - start
+
+
 def survivor_restriction(space: StateSpace, kernel, killing_set):
     """Restrict a kernel to the complement of a killing set.
 

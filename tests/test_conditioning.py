@@ -38,6 +38,7 @@ from _chains import (
     k5_walk,
     ladder_chain,
     n3_walk,
+    permuted_problem,
     random_problem,
     simplex_grid_recursive,
     survival_paths,
@@ -353,6 +354,27 @@ def test_qld_cycle_on_a_long_transient_ladder():
         assert dist.tv_distance(laws[160 + offset]) < 1e-9
 
 
+def _assert_same_cycle_in_any_state_order(problem, rng):
+    # the peripheral solves run in the states' own order: another order may
+    # move the laws in their last bits only
+    want, got = qld_cycle(problem), qld_cycle(permuted_problem(problem, rng))
+    assert (got.period, got.offsets) == (want.period, want.offsets)
+    for a, b in zip(got.distributions, want.distributions, strict=True):
+        diff = a.to_array(problem.space) - b.to_array(problem.space)
+        assert np.max(np.abs(diff)) <= 1e-15
+
+
+def test_qld_cycle_on_a_permuted_ladder():
+    _assert_same_cycle_in_any_state_order(ladder_chain(600), np.random.default_rng(1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_qld_cycle_on_permuted_random_problems(seed):
+    rng = np.random.default_rng(seed)
+    _assert_same_cycle_in_any_state_order(random_problem(rng), rng)
+
+
 def test_qld_cycle_certificate_rejects_a_wrong_cycle(monkeypatch):
     exact = conditioning._peripheral_laws
 
@@ -431,6 +453,15 @@ def test_mean_ratio_curve_fills_repeated_horizons():
     curve = mean_ratio_curve(problem, {"3": 1.0}, [5, 5, 2])
     want = [exact_mean_ratio(problem, {"3": 1.0}, n) for n in (5, 5, 2)]
     np.testing.assert_array_equal(curve, want)
+
+
+def test_mean_ratio_rejects_an_empty_horizon_list(tmp_path):
+    with pytest.raises(ValueError, match="horizon list is empty"):
+        mean_ratio_curve(n3_walk(), {"3": 1.0}, [])
+    path = tmp_path / "curve.csv"
+    with pytest.raises(ValueError, match="horizon list is empty"):
+        write_mean_ratio_csv(n3_walk(), {"3": 1.0}, 0, path)
+    assert not path.exists()
 
 
 def test_mean_ratio_deep_horizon_rescaling():
@@ -619,7 +650,7 @@ def test_fixed_point_candidates_match_dense_eig_on_test_chains(problem):
     _assert_candidates_match_dense_eig(problem)
 
 
-@pytest.mark.parametrize("grid_step", [0.0, -0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("grid_step", [0.0, -0.1, float("nan"), float("inf"), 5e-324])
 def test_fixed_point_search_rejects_bad_grid_step(grid_step):
     with pytest.raises(ValidationError, match="grid_step"):
         qsd_fixed_point_search(n3_walk(), grid_step=grid_step)

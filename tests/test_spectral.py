@@ -3,6 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qergodic import (
+    AbsorbedChainProblem,
+    TransitionKernel,
     ValidationError,
     build_qprocess_dominant,
     decompose_classes,
@@ -19,12 +21,18 @@ from qergodic import (
     verify_eigenprojection,
 )
 from _chains import (
+    chained_tie,
+    class_edges,
     k2_walk,
+    k5_walk,
+    ladder_chain,
     n3_walk,
     random_problem,
+    reachable_dfs,
     survival_probability_from_state,
     swap_with_killing,
     three_cycle,
+    two_copies_tied,
 )
 
 
@@ -59,6 +67,69 @@ def test_decompose_two_state_swap():
     cls = dec.classes[0]
     assert cls.period == 2
     assert all(len(c) == 1 for c in cls.cyclic_classes)
+
+
+def _assert_graph_and_reachability(dec, Q, rng):
+    # graph stores one entry, 1.0, per ordered pair of distinct classes
+    # joined by a positive entry, and its searches match a plain DFS
+    edges = class_edges(Q, dec.class_of)
+    C = len(dec.classes)
+    coo = dec.graph.tocoo()
+    assert dec.graph.shape == (C, C)
+    assert dec.graph.nnz == len(edges)
+    assert set(zip(coo.row.tolist(), coo.col.tolist())) == edges
+    assert np.all(coo.data == 1.0)
+    starts = [{i} for i in range(C)] + [set(), set(range(C))]
+    starts += [set(np.flatnonzero(rng.random(C) < 0.3).tolist()) for _ in range(5)]
+    for ids in starts:
+        for reverse in (False, True):
+            assert dec.reachable_from(ids, reverse=reverse) == reachable_dfs(
+                edges, ids, reverse
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reachability_matches_dfs_on_random_lifts(seed):
+    # random_problem's kernels are dense and lift to one class; thinning
+    # them splits the lift into several
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, n_states=int(rng.integers(3, 9)))
+    n = problem.space.size
+    thin = problem.kernel.matrix * (rng.random((n, n)) < 0.4) + 0.05 * np.eye(n)
+    kernel = TransitionKernel(thin / thin.sum(axis=1, keepdims=True))
+    problem = AbsorbedChainProblem(problem.space, kernel, problem.boundary, problem.initial)
+    lifted = lift_chain(problem, validate=False)
+    _assert_graph_and_reachability(lifted.decomposition, lifted.survivor_matrix, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reachability_matches_dfs_on_random_sparse_matrices(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    Q = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.02, 0.2))
+    Q /= np.maximum(Q.sum(axis=1, keepdims=True), 1.0)
+    _assert_graph_and_reachability(decompose_classes(Q), Q, rng)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        ladder_chain(60),
+        chained_tie(),
+        two_copies_tied(),
+        three_cycle(),
+        n3_walk(),
+        k5_walk(),
+        moving_walk(0.45, 12),
+    ],
+    ids=["ladder", "chained-tie", "two-copies", "three-cycle", "n3", "k5", "walk"],
+)
+def test_reachability_matches_dfs_on_test_chains(problem):
+    lifted = lift_chain(problem)
+    rng = np.random.default_rng(0)
+    _assert_graph_and_reachability(lifted.decomposition, lifted.survivor_matrix, rng)
 
 
 def test_perron_k2_closed_values():
