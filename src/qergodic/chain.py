@@ -87,9 +87,34 @@ class StateSpace:
         return label in self._index
 
 
+def _kernel_violations(matrix: np.ndarray, labels) -> list[str]:
+    """Why ``matrix`` is not row-stochastic within ``ROW_SUM_TOL``, naming
+    rows and entries by ``labels``; empty when it is."""
+    violations: list[str] = []
+    if not np.all(np.isfinite(matrix)):
+        violations.append("kernel contains non-finite entries")
+    bad = np.argwhere((matrix < 0.0) | (matrix > 1.0 + ROW_SUM_TOL))
+    if bad.size:
+        i, j = bad[0]
+        violations.append(
+            f"kernel entry out of [0, 1] at ({labels[i]!r}, {labels[j]!r}): "
+            f"{matrix[i, j]!r}"
+        )
+    sums = matrix.sum(axis=1)
+    for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
+        violations.append(
+            f"kernel row not stochastic: row {i} ({labels[i]!r}) sums to {sums[i]!r}"
+        )
+    return violations
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionKernel:
-    """Row-stochastic transition matrix, rows indexed by source state."""
+    """Row-stochastic transition matrix, rows indexed by source state.
+
+    ``matrix`` holds the entries as given.  ``normalized``, the one form
+    that arithmetic reads, is checked and built once, on first read.
+    """
 
     matrix: np.ndarray
 
@@ -103,24 +128,23 @@ class TransitionKernel:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def row_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
-
+    @cached_property
     def normalized(self) -> np.ndarray:
-        """Rows renormalized exactly, provided each deficit is within tolerance.
+        """Read-only copy with each row divided by its sum.
 
-        Rows further than ``ROW_SUM_TOL`` from 1 are a data error; callers
-        should have rejected the kernel through :func:`validate_problem`
-        before doing arithmetic with it.
+        Raises ValidationError, listing the violations of
+        :func:`validate_problem` with states labelled ``'0'..'n-1'``, when
+        the matrix is not row-stochastic within ``ROW_SUM_TOL``.
         """
-        sums = self.row_sums()
-        if (
-            not np.all(np.isfinite(self.matrix))
-            or np.any(np.abs(sums - 1.0) > ROW_SUM_TOL)
-            or np.any(self.matrix < 0.0)
-        ):
-            raise ValidationError("kernel is not row-stochastic within tolerance")
-        return self.matrix / sums[:, None]
+        violations = _kernel_violations(self.matrix, [str(i) for i in range(self.size)])
+        if violations:
+            raise ValidationError(
+                "kernel is not row-stochastic within tolerance: " + "; ".join(violations),
+                violations,
+            )
+        normalized = self.matrix / self.matrix.sum(axis=1)[:, None]
+        normalized.setflags(write=False)
+        return normalized
 
 
 @dataclass(frozen=True)
@@ -185,16 +209,6 @@ class Distribution:
     def support(self) -> frozenset[str]:
         return frozenset(x for x, w in self.weights.items() if w > 0.0)
 
-    def normalized(self) -> "Distribution":
-        t = self.total()
-        if t <= 0.0:
-            raise ValidationError("cannot normalize a distribution with no mass")
-        return Distribution({x: w / t for x, w in self.weights.items()})
-
-    def restricted(self, labels: Iterable[str]) -> "Distribution":
-        keep = set(labels)
-        return Distribution({x: w for x, w in self.weights.items() if x in keep})
-
     def tv_distance(self, other: "Distribution") -> float:
         keys = {**self.weights, **other.weights}  # a fixed summation order
         return 0.5 * sum(
@@ -258,8 +272,9 @@ class LiftedChain:
     ``phase[i]``, the positions of ``np.nonzero(problem.alive)``, so the
     order is phase-major with state-space order within a phase;
     ``survivors`` lists the same pairs by label; ``survivor_csr`` is the
-    substochastic one-step matrix on them, the one form of the lift that
-    the library reads; ``initial_vector`` carries the problem's initial
+    substochastic one-step matrix on them, cut from the problem's one
+    ``kernel.normalized``, and the one form of the lift that the library
+    reads; ``initial_vector`` carries the problem's initial
     mass placed at phase 0 (unnormalized); ``decomposition`` is the class
     decomposition of ``survivor_csr``, shared by validation and every
     analysis run on this lift.  ``survivor_matrix`` and ``matrix`` are
@@ -298,7 +313,7 @@ class LiftedChain:
         # (x, k) -> (y, k') carries P(x, y) exactly when k' = k + 1 mod gamma;
         # the flat positions of alive are k * S + x, the order of the kron
         shift = sparse.csr_array(np.roll(np.eye(self.gamma), 1, axis=1))
-        P = sparse.csr_array(self.problem.kernel.normalized())
+        P = sparse.csr_array(self.problem.kernel.normalized)
         keep = np.flatnonzero(self.problem.alive)
         return sparse.kron(shift, P, format="csr")[keep][:, keep]
 
@@ -322,7 +337,7 @@ class LiftedChain:
     def matrix(self) -> np.ndarray:
         """The dense kernel on all (state, phase) pairs, built on each read."""
         shift = np.roll(np.eye(self.gamma), 1, axis=1)
-        return np.kron(shift, self.problem.kernel.normalized())
+        return np.kron(shift, self.problem.kernel.normalized)
 
     def normalized_initial(self) -> np.ndarray:
         total = self.initial_vector.sum()
@@ -341,26 +356,8 @@ def validate_problem(
     when the structural checks pass; they read the class decomposition of
     ``lifted``, the lift of ``problem``, which is created when not given.
     """
-    violations: list[str] = []
     space = problem.space
-    matrix = problem.kernel.matrix
-
-    if not np.all(np.isfinite(matrix)):
-        violations.append("kernel contains non-finite entries")
-    if np.any(matrix < 0.0) or np.any(matrix > 1.0 + ROW_SUM_TOL):
-        bad = np.argwhere((matrix < 0.0) | (matrix > 1.0 + ROW_SUM_TOL))
-        i, j = bad[0]
-        violations.append(
-            f"kernel entry out of [0, 1] at ({space.labels[i]!r}, "
-            f"{space.labels[j]!r}): {matrix[i, j]!r}"
-        )
-    sums = problem.kernel.row_sums()
-    for i, s in enumerate(sums):
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            violations.append(
-                f"kernel row not stochastic: row {i} ({space.labels[i]!r}) "
-                f"sums to {s!r}"
-            )
+    violations = _kernel_violations(problem.kernel.matrix, space.labels)
 
     for k, killed in enumerate(problem.boundary.killing_sets):
         unknown = sorted(x for x in killed if x not in space)

@@ -107,7 +107,7 @@ def conditional_step(
         raise ValidationError("law has negative weights")
     if vec.sum() <= 0.0:
         raise NullEventError("cannot condition a law with no mass")
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     return Distribution.from_array(
         problem.space, _step_vector(problem, P, vec, phase)
     )
@@ -139,7 +139,7 @@ def _law_vectors(problem, n_max: int, mu=None) -> list[np.ndarray]:
     """The laws of :func:`conditional_law_sequence` as state-space vectors."""
     if n_max < 0:
         raise ValueError("horizon must be nonnegative")
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     vec = _initial_vector(problem, mu)
     laws = [vec]
     for n in range(1, n_max + 1):
@@ -170,7 +170,7 @@ def collapsed_chain(
 ) -> CollapsedChain:
     """Kernel of the gamma-step chain: one period of masked transitions."""
     gamma = problem.gamma
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     acc = np.eye(problem.space.size)
     for step in range(1, gamma + 1):
         acc = acc @ (P * problem.alive[(base_phase + step) % gamma])
@@ -446,7 +446,7 @@ def qsd_fixed_point_search(
     if not 0.0 < grid_step < np.inf or not 1.0 / grid_step < np.inf:
         raise ValidationError(f"grid_step and 1/grid_step must be finite and > 0: {grid_step!r}")
     space = problem.space
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     common_idx = np.flatnonzero(problem.alive.all(axis=0))
     common = tuple(space.labels[i] for i in common_idx)
 
@@ -476,8 +476,10 @@ def qsd_fixed_point_search(
         Q = _as_csr(P[np.ix_(alive, alive)])
         dec = decompose_classes(Q)
         for i, cls in enumerate(dec.classes):
+            if cls.rho <= 0.0:
+                continue
             below, floor = dec.reachable_from({i}), cls.rho * (1.0 - RHO_TIE_RTOL)
-            if cls.rho <= 0.0 or any(dec.classes[j].rho >= floor for j in below):
+            if any(dec.classes[j].rho >= floor for j in below):
                 continue  # not distinguished: no nonnegative eigenvector starts here
             law = np.zeros((1, Q.shape[0]))
             law[0, list(cls.states)] = cls.nu

@@ -132,7 +132,7 @@ def _kernel_for_class(problem, lifted, cls) -> QProcessKernel:
         )
     gamma = lifted.gamma
     space = problem.space
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
 
     states = tuple(lifted.survivors[s] for s in cls.states)
     pos = list(cls.states)  # sorted, so phase-major like the lift
@@ -202,7 +202,7 @@ def finite_horizon_qlaw(
     if (x, 0) not in lifted.survivor_index:
         raise ValidationError(f"state {x!r} is absorbed at phase 0")
 
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     prefix = 1.0
     current = x
     alive = True

@@ -174,7 +174,7 @@ class ConditionalEstimates:
 def _engine(problem: AbsorbedChainProblem, config: SimConfig, fvec, record_paths: bool):
     space = problem.space
     gamma = problem.gamma
-    sampler = _RowSampler(problem.kernel.normalized())
+    sampler = _RowSampler(problem.kernel.normalized)
     killed = ~problem.alive
 
     init = problem.initial.to_array(space)
@@ -195,31 +195,15 @@ def _engine(problem: AbsorbedChainProblem, config: SimConfig, fvec, record_paths
     law_counts = np.zeros((horizon + 1, space.size), dtype=np.int64)
 
     for lo, hi in config.shard_ranges():
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        u0 = _uniforms(config.seed, idx, 0)
-        states = initial_sampler.draw(np.zeros(hi - lo, dtype=np.int64), u0)
         alive_idx = np.arange(lo, hi, dtype=np.int64)
-
-        dead_now = killed[0, states]
-        if dead_now.any():
-            tau[alive_idx[dead_now]] = 0
-            final_state[alive_idx[dead_now]] = states[dead_now]
-            if record_paths:
-                paths[alive_idx[dead_now], 0] = states[dead_now]
-            alive_idx = alive_idx[~dead_now]
-            states = states[~dead_now]
-        if record_paths and alive_idx.size:
-            paths[alive_idx, 0] = states
-        survivor_counts[0] += alive_idx.size
-        law_counts[0] += np.bincount(states, minlength=space.size)
-
-        for t in range(1, horizon + 1):
+        states = np.zeros(hi - lo, dtype=np.int64)  # the initial law's one row
+        for t in range(horizon + 1):
             if alive_idx.size == 0:
                 break
-            if fvec is not None:
+            if fvec is not None and t:
                 fsum[alive_idx] += fvec[states]
             u = _uniforms(config.seed, alive_idx.astype(np.uint64), t)
-            states = sampler.draw(states, u)
+            states = (sampler if t else initial_sampler).draw(states, u)
             if record_paths:
                 paths[alive_idx, t] = states
             dead_now = killed[t % gamma, states]

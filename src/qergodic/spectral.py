@@ -227,8 +227,9 @@ def _as_csr(Q) -> sparse.csr_array:
 
 
 def _class_data(sub: sparse.csr_array, states: tuple[int, ...]) -> IrreducibleClass:
-    """Perron data of the class ``states`` with one-step CSR block ``sub``."""
-    from scipy.sparse.csgraph import connected_components, shortest_path
+    """Perron data of the class ``states`` with one-step CSR block ``sub``,
+    whose positive pattern the callers have found strongly connected."""
+    from scipy.sparse.csgraph import shortest_path
 
     n = len(states)
     if n == 1 and not np.any(sub.data > 0.0):
@@ -246,17 +247,12 @@ def _class_data(sub: sparse.csr_array, states: tuple[int, ...]) -> IrreducibleCl
         )
 
     graph = sub > 0.0
-    if connected_components(graph, directed=True, connection="strong")[0] != 1:
-        raise ValidationError("the given states do not form an irreducible class")
-
     # Phase BFS from the anchor; each edge u -> v closes a cycle of length
     # dist(u) + 1 - dist(v) through the anchor, and the period divides all
     # of them.
     dist = shortest_path(graph, unweighted=True, indices=0).astype(int)
     rows, cols = graph.nonzero()
     period = int(np.gcd.reduce(dist[rows] + 1 - dist[cols]))
-    if period == 0:
-        raise ValidationError("the given states contain no directed cycle")
     cyclic = dist % period
     cyclic_local = [np.flatnonzero(cyclic == j) for j in range(period)]
 
@@ -316,13 +312,20 @@ def perron_data(Q, states) -> IrreducibleClass:
     a Collatz-Wielandt bracket of its Perron root.  ``rho`` is the T-th
     root of their Rayleigh quotient, ``rho_bracket`` the T-th roots of the
     hull of both brackets, and the one-step blocks carry both vectors
-    around the other cyclic classes.  Raises ConvergenceError if a bracket
+    around the other cyclic classes.  This is where states from outside
+    meet the class code: raises ValidationError unless the positive pattern
+    on ``states`` is strongly connected, and ConvergenceError if a bracket
     cannot be narrowed to ``_BRACKET_RTOL``.
     """
+    from scipy.sparse.csgraph import connected_components
+
     Q = _as_csr(Q)
     states = tuple(sorted(int(s) for s in states))
     idx = np.array(states, dtype=int)
-    return _class_data(Q[idx][:, idx], states)
+    sub = Q[idx][:, idx]
+    if connected_components(sub > 0.0, directed=True, connection="strong")[0] != 1:
+        raise ValidationError("the given states do not form an irreducible class")
+    return _class_data(sub, states)
 
 
 def decompose_classes(Q) -> ClassDecomposition:

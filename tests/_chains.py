@@ -267,7 +267,7 @@ def survivor_restriction(space: StateSpace, kernel, killing_set):
     if not survivors:
         raise ValidationError("empty survivor set")
     if isinstance(kernel, TransitionKernel):
-        P = kernel.normalized()
+        P = kernel.normalized
     else:
         P = np.asarray(kernel, dtype=float)
     idx = [space.index(x) for x in survivors]
@@ -284,7 +284,7 @@ def lift_by_phase(problem: AbsorbedChainProblem):
     """
     space = problem.space
     gamma = problem.gamma
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     states = [(x, k) for k in range(gamma) for x in space.labels]
     killed = {(x, k) for k in range(gamma) for x in problem.boundary.killing_set(k)}
     survivors = tuple(s for s in states if s not in killed)
@@ -313,7 +313,7 @@ def kernel_by_entry(problem: AbsorbedChainProblem, x: str):
     """
     space = problem.space
     gamma = problem.gamma
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     lifted = lift_chain(problem)
     dec = lifted.decomposition
     cls = dec.classes[int(dec.class_of[lifted.survivor_index[(x, 0)]])]
@@ -408,7 +408,7 @@ def eig_candidates(problem: AbsorbedChainProblem):
     earlier one are dropped.  Returns ``(phase, eigenvalue, law)`` with
     the law as a state-space vector.
     """
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     found = []
     for m, alive in enumerate(problem.alive):
         eigvals, eigvecs = np.linalg.eig(P[np.ix_(alive, alive)].T)
@@ -438,7 +438,7 @@ def survival_paths(problem: AbsorbedChainProblem, n: int):
     of the lifted-matrix machinery.
     """
     space = problem.space
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     gamma = problem.gamma
     killed = [
         frozenset(space.index(x) for x in problem.boundary.killing_set(k))

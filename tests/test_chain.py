@@ -86,6 +86,57 @@ def test_lift_rejects_non_stochastic_row_before_lifting(decompositions):
     assert decompositions == []
 
 
+def test_normalized_kernel_is_one_read_only_array():
+    kernel = n3_walk().kernel
+    normalized = kernel.normalized
+    assert kernel.normalized is normalized
+    assert not normalized.flags.writeable
+    np.testing.assert_array_equal(normalized.sum(axis=1), 1.0)
+
+
+def _edited(i, j, value):
+    P = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+    P[i, j] = value
+    return P
+
+
+MALFORMED_KERNELS = {
+    "nan": _edited(0, 1, np.nan),
+    "inf": _edited(1, 1, np.inf),
+    "negative": np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [-0.1, 0.6, 0.5]]),
+    "row-off-2e-12": _edited(1, 2, 0.25 + 2e-12),
+    "entry-above-one": np.array([[1.0 + 2e-12, 0.0, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]),
+}
+
+
+def _kernel_report(matrix):
+    """The kernel and the kernel part of validate_problem's report, on
+    labels '0'..'n-1', the names the kernel's own check gives the states."""
+    kernel = TransitionKernel(matrix)
+    problem = AbsorbedChainProblem(
+        StateSpace(("0", "1", "2")),
+        kernel,
+        MovingBoundary(1, (frozenset({"2"}),)),
+        Distribution.point_mass("0"),
+    )
+    return kernel, [v for v in validate_problem(problem) if v.startswith("kernel")]
+
+
+@pytest.mark.parametrize("case", MALFORMED_KERNELS)
+def test_kernel_check_is_the_one_validate_reports(case):
+    kernel, reported = _kernel_report(MALFORMED_KERNELS[case])
+    assert reported
+    with pytest.raises(ValidationError) as info:
+        kernel.normalized
+    assert info.value.violations == reported
+
+
+def test_row_within_tolerance_passes_both_kernel_checks():
+    kernel, reported = _kernel_report(_edited(1, 2, 0.25 + 5e-13))
+    assert reported == []
+    np.testing.assert_allclose(kernel.normalized.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
 def test_validate_reports_empty_survival_set():
     prob = n3_walk()
     sets = list(prob.boundary.killing_sets)
@@ -197,7 +248,7 @@ def test_lift_projects_to_one_step_law():
     prob = n3_walk()
     lifted = lift_chain(prob)
     size = prob.space.size
-    P = prob.kernel.normalized()
+    P = prob.kernel.normalized
     for k in range(prob.gamma):
         nxt = (k + 1) % prob.gamma
         block = lifted.matrix[
@@ -333,7 +384,7 @@ def test_survivor_restriction_empty_survivors_rejected():
 def test_restriction_never_exceeds_kernel(seed):
     rng = np.random.default_rng(seed)
     problem = random_problem(rng)
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     killing = problem.boundary.killing_set(0)
     Q, survivors = survivor_restriction(problem.space, problem.kernel, killing)
     embedded = np.zeros_like(P)

@@ -567,7 +567,7 @@ def test_phase_gaps_are_one_where_no_mass_survives():
             want.append(conditional_step(problem, dist, 0).tv_distance(dist))
         except NullEventError:
             want.append(1.0)
-    gaps = conditioning._phase_gaps(problem, problem.kernel.normalized(), laws)
+    gaps = conditioning._phase_gaps(problem, problem.kernel.normalized, laws)
     assert gaps.tolist() == pytest.approx(want, abs=1e-15)
     assert gaps[0] == 1.0
 
@@ -589,7 +589,7 @@ def test_phase_gaps_are_one_where_no_mass_survives():
     ],
 )
 def test_fixed_point_candidates_are_left_eigenvectors(problem):
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     report = qsd_fixed_point_search(problem, grid_step=1.0)
     assert report.eigen_candidates
     for m, lam, dist in report.eigen_candidates:
@@ -604,7 +604,7 @@ def test_fixed_point_candidates_are_left_eigenvectors(problem):
 def test_fixed_point_candidates_on_wide_moving_walk():
     # phase matrices this far from normal defeat a dense eigensolver
     problem = moving_walk(0.45, 250)
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     report = qsd_fixed_point_search(problem, grid_step=1e-2)
     for m, alive in enumerate(problem.alive):
         (cls,) = decompose_classes(P[np.ix_(alive, alive)]).classes

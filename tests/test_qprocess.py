@@ -162,7 +162,7 @@ def test_finite_horizon_matches_dense_sweep(seed):
     rng = np.random.default_rng(seed)
     problem = random_problem(rng)
     gamma = problem.gamma
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     index = lift_chain(problem).survivor_index
     m = int(rng.integers(1, 31))
     path = [str(rng.choice(problem.survivors(0)))]

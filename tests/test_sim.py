@@ -15,6 +15,7 @@ from qergodic import (
     decompose_classes,
     estimate_conditionals,
     lift_chain,
+    moving_walk,
     qed_moving,
     qld_cycle,
     simulate_paths,
@@ -22,8 +23,8 @@ from qergodic import (
     survival_coefficient,
     survival_curve,
 )
-from qergodic.sim import _path_dtype, _RowSampler
-from _chains import dense_draw, n3_walk, symmetric_slow_chain
+from qergodic.sim import _path_dtype, _RowSampler, _uniforms
+from _chains import dense_draw, n3_walk, random_problem, symmetric_slow_chain
 
 
 def suicide_chain():
@@ -48,7 +49,7 @@ def test_paths_respect_kernel_support_and_killing():
     problem = n3_walk(0.4)
     config = SimConfig(seed=3, trajectories=2000, horizon=12)
     batch = simulate_paths(problem, config)
-    P = problem.kernel.normalized()
+    P = problem.kernel.normalized
     space = problem.space
     for i in range(0, 2000, 97):
         path = batch.paths[i]
@@ -107,6 +108,49 @@ def test_shard_layouts_reproduce_bit_identically():
         assert other.law.weights == base.law.weights
         np.testing.assert_array_equal(other.survivor_counts, base.survivor_counts)
         np.testing.assert_array_equal(other.law_counts, base.law_counts)
+
+
+def reference_paths(problem, config):
+    """Paths and tau drawn one trajectory at a time: step t of trajectory i
+    reads the uniform keyed by (seed, i, t) and searches a dense row, of
+    the initial law at t = 0 and of the kernel after that."""
+    P = problem.kernel.normalized
+    init = problem.initial.to_array(problem.space)[None, :]
+    paths = np.full((config.trajectories, config.horizon + 1), -1)
+    tau = np.full(config.trajectories, -1)
+    for i in range(config.trajectories):
+        state = 0
+        for t in range(config.horizon + 1):
+            u = _uniforms(config.seed, np.array([i], dtype=np.uint64), t)
+            state = int(dense_draw(P if t else init / init.sum(), np.array([state]), u)[0])
+            paths[i, t] = state
+            if not problem.alive[t % problem.gamma, state]:
+                tau[i] = t
+                break
+    return paths, tau
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        n3_walk(0.45),
+        moving_walk(0.45, 6),
+        random_problem(np.random.default_rng(5)),
+        random_problem(np.random.default_rng(6)),
+    ],
+    ids=["n3", "walk", "random-5", "random-6"],
+)
+def test_seeded_stream_matches_per_path_reference(problem):
+    config = SimConfig(seed=17, trajectories=150, horizon=24)
+    paths, tau = reference_paths(problem, config)
+    alive = np.array([np.sum((tau < 0) | (tau > t)) for t in range(config.horizon + 1)])
+    for shards in (1, 3):
+        sharded = SimConfig(config.seed, config.trajectories, config.horizon, shards)
+        batch = simulate_paths(problem, sharded)
+        np.testing.assert_array_equal(batch.paths, paths)
+        np.testing.assert_array_equal(batch.tau, tau)
+        p_hat, _ = survival_curve(problem, sharded)
+        np.testing.assert_array_equal(p_hat, alive / config.trajectories)
 
 
 def test_same_seed_same_results_different_seed_differs():

@@ -88,18 +88,23 @@ def _assert_graph_and_reachability(dec, Q, rng):
             )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_reachability_matches_dfs_on_random_lifts(seed):
-    # random_problem's kernels are dense and lift to one class; thinning
-    # them splits the lift into several
-    rng = np.random.default_rng(seed)
+def thinned_random_lift(rng):
+    """The lift of a random problem with about 60 % of its kernel entries
+    zeroed: random_problem's kernels are dense and lift to one class, and
+    thinning splits the lift into several."""
     problem = random_problem(rng, n_states=int(rng.integers(3, 9)))
     n = problem.space.size
     thin = problem.kernel.matrix * (rng.random((n, n)) < 0.4) + 0.05 * np.eye(n)
     kernel = TransitionKernel(thin / thin.sum(axis=1, keepdims=True))
     problem = AbsorbedChainProblem(problem.space, kernel, problem.boundary, problem.initial)
-    lifted = lift_chain(problem, validate=False)
+    return lift_chain(problem, validate=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reachability_matches_dfs_on_random_lifts(seed):
+    rng = np.random.default_rng(seed)
+    lifted = thinned_random_lift(rng)
     _assert_graph_and_reachability(lifted.decomposition, lifted.survivor_matrix, rng)
 
 
@@ -161,6 +166,43 @@ def test_perron_rejects_reducible_state_set():
     Q = np.array([[0.0, 0.5], [0.0, 0.0]])
     with pytest.raises(ValidationError):
         perron_data(Q, [0, 1])
+
+
+def _class_bytes(cls):
+    return [
+        cls.states,
+        cls.period,
+        cls.rho,
+        cls.rho_bracket,
+        cls.nu_residual,
+        cls.xi_residual,
+        cls.cyclic.tobytes(),
+        cls.nu.tobytes(),
+        cls.xi.tobytes(),
+        cls.submatrix.toarray().tobytes(),
+    ]
+
+
+def _assert_perron_data_rebuilds_every_class(Q):
+    for cls in decompose_classes(Q).classes:
+        assert _class_bytes(perron_data(Q, cls.states)) == _class_bytes(cls)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [ladder_chain(60), chained_tie(), two_copies_tied(), three_cycle(), n3_walk(),
+     k5_walk(), swap_with_killing(), moving_walk(0.45, 12)],
+    ids=["ladder", "chained-tie", "two-copies", "three-cycle", "n3", "k5", "swap", "walk"],
+)
+def test_perron_data_rebuilds_each_class_of_test_chains(problem):
+    _assert_perron_data_rebuilds_every_class(lift_chain(problem).survivor_csr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_perron_data_rebuilds_each_class_of_thinned_random_lifts(seed):
+    lifted = thinned_random_lift(np.random.default_rng(seed))
+    _assert_perron_data_rebuilds_every_class(lifted.survivor_csr)
 
 
 def test_transient_singleton_has_rho_zero():
