@@ -98,12 +98,12 @@ def _kernel_violations(matrix: np.ndarray, labels) -> list[str]:
         i, j = bad[0]
         violations.append(
             f"kernel entry out of [0, 1] at ({labels[i]!r}, {labels[j]!r}): "
-            f"{matrix[i, j]!r}"
+            f"{float(matrix[i, j])!r}"
         )
     sums = matrix.sum(axis=1)
     for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
         violations.append(
-            f"kernel row not stochastic: row {i} ({labels[i]!r}) sums to {sums[i]!r}"
+            f"kernel row not stochastic: row {i} ({labels[i]!r}) sums to {float(sums[i])!r}"
         )
     return violations
 

@@ -20,8 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .chain import Distribution, lift_chain, load_problem, save_problem, validate_problem
 from .conditioning import qld_cycle, write_conditional_laws_csv, write_mean_ratio_csv
@@ -34,7 +32,7 @@ from .errors import (
 )
 from .qed import qed_moving
 from .qprocess import build_qprocess_dominant
-from .sim import SimConfig, estimate_conditionals
+from .sim import SimConfig, _survival_estimate, estimate_conditionals
 from .spectral import peripheral_system
 from .walks import build_walk, RandomWalkSpec
 
@@ -251,8 +249,7 @@ def cmd_simulate(args) -> int:
     estimates = estimate_conditionals(problem, f, config)
     curve_csv = _out_sibling(args, "_estimates.csv")
     counts, law_counts = estimates.survivor_counts, estimates.law_counts
-    p_hat = counts / config.trajectories
-    se = np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / config.trajectories)
+    p_hat, se = _survival_estimate(counts, config.trajectories)
     # counts never grow and the horizon has survivors, so no row divides by 0
     laws = law_counts / counts[:, None]
     rows = zip(counts.tolist(), p_hat.tolist(), se.tolist(), laws.tolist())
@@ -278,8 +275,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_randomwalk(args) -> int:
     spec = RandomWalkSpec(args.p, K=args.K, N=args.N)
-    initial = args.start if args.start is not None else None
-    problem = build_walk(spec, initial=initial)
+    problem = build_walk(spec, initial=args.start)
+    if args.start is not None and args.start not in problem.survivors(0):
+        raise ValidationError(
+            f"--start {args.start!r} is not a state alive at phase 0"
+        )
     if args.out:
         save_problem(problem, args.out)
         report = {

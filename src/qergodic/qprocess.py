@@ -5,8 +5,8 @@ produces a time-inhomogeneous Markov chain on the dominant class: each
 transition reweights the original kernel by the ratio of right Perron
 values at the target and source lifted states, divided by the decay rate.
 With a period-``gamma`` boundary the kernel family is ``gamma``-periodic,
-so one slice per phase describes it completely; each slice is gathered
-from the kernel and the class's right Perron vector as whole arrays.
+so one slice per phase describes it completely; each slice is cut from
+the class's CSR block of the lift and scaled by its right Perron vector.
 The finite-horizon approximants divide survival vectors taken from one
 sweep of the CSR survivor matrix, the same sweep as the exact oracle in
 ``conditioning``.
@@ -15,7 +15,6 @@ sweep of the CSR survivor matrix, the same sweep as the exact oracle in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,28 +38,13 @@ class PhaseSlice:
     """Transition matrix of the conditioned chain arriving at one phase.
 
     Rows are the class states alive at the previous phase, columns those
-    alive at ``phase``; each row sums to 1.  ``row_positions`` and
-    ``col_positions`` map each label to its row or column.
+    alive at ``phase``; each row sums to 1.
     """
 
     phase: int
     row_states: tuple[str, ...]
     col_states: tuple[str, ...]
     matrix: np.ndarray
-
-    @cached_property
-    def row_positions(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.row_states)}
-
-    @cached_property
-    def col_positions(self) -> dict[str, int]:
-        return {x: j for j, x in enumerate(self.col_states)}
-
-    def row_index(self, label: str) -> int | None:
-        return self.row_positions.get(label)
-
-    def col_index(self, label: str) -> int | None:
-        return self.col_positions.get(label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,24 +76,14 @@ class QProcessKernel:
         current = x
         for step, target in enumerate(cylinder, start=1):
             sl = self.slice_for(step)
-            i = sl.row_index(current)
-            j = sl.col_index(target)
-            if i is None or j is None:
+            if current not in sl.row_states or target not in sl.col_states:
                 return 0.0
+            i, j = sl.row_states.index(current), sl.col_states.index(target)
             prob *= float(sl.matrix[i, j])
             if prob == 0.0:
                 return 0.0
             current = target
         return prob
-
-    def homogeneous_kernel(self, base_phase: int = 0) -> tuple[tuple[str, ...], np.ndarray]:
-        """One-period product of the slices: a stationary gamma-step kernel."""
-        first = self.slice_for(base_phase + 1)
-        states = first.row_states
-        acc = np.eye(len(states))
-        for step in range(1, self.gamma + 1):
-            acc = acc @ self.slice_for(base_phase + step).matrix
-        return states, acc
 
 
 def _class_of_lifted_state(lifted, key) -> IrreducibleClass:
@@ -132,7 +106,6 @@ def _kernel_for_class(problem, lifted, cls) -> QProcessKernel:
         )
     gamma = lifted.gamma
     space = problem.space
-    P = problem.kernel.normalized
 
     states = tuple(lifted.survivors[s] for s in cls.states)
     pos = list(cls.states)  # sorted, so phase-major like the lift
@@ -142,7 +115,8 @@ def _kernel_for_class(problem, lifted, cls) -> QProcessKernel:
     slices = []
     for phase in range(gamma):
         r, c = phases == (phase - 1) % gamma, phases == phase
-        matrix = xi[c][None, :] * P[np.ix_(index[r], index[c])] / (cls.rho * xi[r][:, None])
+        block = cls.submatrix[np.flatnonzero(r)][:, np.flatnonzero(c)].toarray()
+        matrix = xi[c][None, :] * block / (cls.rho * xi[r][:, None])
         sums = matrix.sum(axis=1)
         deviation = max(deviation, float(np.max(np.abs(sums - 1.0))))
         matrix = np.clip(matrix, 0.0, None)

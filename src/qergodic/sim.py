@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo for absorbed trajectories.
+"""Seeded Monte Carlo for absorbed trajectories and the conditioned chain.
 
 Every random number is a pure function of (seed, trajectory index, step),
 computed with a counter-based 64-bit mixer.  Trajectories therefore do
@@ -12,6 +12,11 @@ costs O(paths · log deg) for rows with at most deg positive entries.  The
 running sums are the dense row cumsums with the zero entries dropped, and
 adding 0.0 is exact, so every draw equals the first-column-above-u search
 over the full dense row.
+
+One step loop, ``_engine``, draws every path from a row sampler, an initial
+law and a periodic mask of killed states: the absorbed chain passes its
+kernel and killing sets, the conditioned-forever chain its phase slices
+as one row-stochastic matrix on the class, with no state killed.
 """
 
 from __future__ import annotations
@@ -44,9 +49,11 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> np.uint64(30))) * _MIX1  # a new array, updated in place below
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _uniforms(seed: int, traj: np.ndarray, step: int) -> np.ndarray:
@@ -171,28 +178,24 @@ class ConditionalEstimates:
     labels: tuple[str, ...]
 
 
-def _engine(problem: AbsorbedChainProblem, config: SimConfig, fvec, record_paths: bool):
-    space = problem.space
-    gamma = problem.gamma
-    sampler = _RowSampler(problem.kernel.normalized)
-    killed = ~problem.alive
-
-    init = problem.initial.to_array(space)
-    if np.any(init < 0.0) or init.sum() <= 0.0:
-        raise ValidationError("initial law must be nonnegative with positive mass")
-    initial_sampler = _RowSampler((init / init.sum())[None, :])
+def _engine(sampler: _RowSampler, initial: np.ndarray, killed: np.ndarray,
+            config: SimConfig, fvec, record_paths: bool):
+    """Step every trajectory of ``config``: step 0 draws from the law
+    ``initial`` and each later step from ``sampler``; a trajectory dies at
+    step t on a state that ``killed[t % len(killed)]`` marks."""
+    n_states = initial.size
+    initial_sampler = _RowSampler(initial[None, :])
 
     n_traj, horizon = config.trajectories, config.horizon
     tau = np.full(n_traj, -1, dtype=np.int64)
-    final_state = np.full(n_traj, -1, dtype=np.int64)
     fsum = np.zeros(n_traj) if fvec is not None else None
     paths = (
-        np.full((n_traj, horizon + 1), -1, dtype=_path_dtype(space.size))
+        np.full((n_traj, horizon + 1), -1, dtype=_path_dtype(n_states))
         if record_paths
         else None
     )
     survivor_counts = np.zeros(horizon + 1, dtype=np.int64)
-    law_counts = np.zeros((horizon + 1, space.size), dtype=np.int64)
+    law_counts = np.zeros((horizon + 1, n_states), dtype=np.int64)
 
     for lo, hi in config.shard_ranges():
         alive_idx = np.arange(lo, hi, dtype=np.int64)
@@ -202,20 +205,31 @@ def _engine(problem: AbsorbedChainProblem, config: SimConfig, fvec, record_paths
                 break
             if fvec is not None and t:
                 fsum[alive_idx] += fvec[states]
-            u = _uniforms(config.seed, alive_idx.astype(np.uint64), t)
+            u = _uniforms(config.seed, alive_idx, t)
             states = (sampler if t else initial_sampler).draw(states, u)
             if record_paths:
                 paths[alive_idx, t] = states
-            dead_now = killed[t % gamma, states]
+            dead_now = killed[t % len(killed)][states]
             if dead_now.any():
                 tau[alive_idx[dead_now]] = t
                 alive_idx = alive_idx[~dead_now]
                 states = states[~dead_now]
             survivor_counts[t] += alive_idx.size
-            law_counts[t] += np.bincount(states, minlength=space.size)
-        final_state[alive_idx] = states
+            law_counts[t] += np.bincount(states, minlength=n_states)
 
-    return tau, final_state, fsum, paths, survivor_counts, law_counts
+    return tau, fsum, paths, survivor_counts, law_counts
+
+
+def _absorbed_engine(problem: AbsorbedChainProblem, config: SimConfig, fvec,
+                     record_paths: bool):
+    """``_engine`` on the problem's kernel, initial law and killing sets."""
+    init = problem.initial.to_array(problem.space)
+    if np.any(init < 0.0) or init.sum() <= 0.0:
+        raise ValidationError("initial law must be nonnegative with positive mass")
+    return _engine(
+        _RowSampler(problem.kernel.normalized), init / init.sum(), ~problem.alive,
+        config, fvec, record_paths,
+    )
 
 
 def simulate_paths(problem: AbsorbedChainProblem, config: SimConfig) -> SimBatch:
@@ -224,7 +238,7 @@ def simulate_paths(problem: AbsorbedChainProblem, config: SimConfig) -> SimBatch
     Paths record the visited state indices; entries after the absorption
     time are -1 (the absorbing state itself is recorded at time tau).
     """
-    tau, _, _, paths, _, _ = _engine(problem, config, None, record_paths=True)
+    tau, _, paths, _, _ = _absorbed_engine(problem, config, None, record_paths=True)
     return SimBatch(labels=problem.space.labels, paths=paths, tau=tau)
 
 
@@ -240,7 +254,7 @@ def estimate_conditionals(
     if config.horizon < 1:
         raise ValidationError("horizon must be at least 1 for conditional estimates")
     fvec = state_function(problem, f)
-    tau, final_state, fsum, _, survivor_counts, law_counts = _engine(
+    tau, fsum, _, survivor_counts, law_counts = _absorbed_engine(
         problem, config, fvec, record_paths=False
     )
     alive = tau < 0
@@ -256,11 +270,10 @@ def estimate_conditionals(
     se = (
         float(ratios.std(ddof=1) / np.sqrt(n_surv)) if n_surv > 1 else float("inf")
     )
-    counts = np.bincount(final_state[alive], minlength=problem.space.size)
     law = Distribution(
         {
             x: float(c) / n_surv
-            for x, c in zip(problem.space.labels, counts)
+            for x, c in zip(problem.space.labels, law_counts[config.horizon])
             if c > 0
         }
     )
@@ -273,15 +286,19 @@ def estimate_conditionals(
     )
 
 
+def _survival_estimate(survivor_counts: np.ndarray, trajectories: int):
+    """Survival fractions per step with their binomial standard errors."""
+    p_hat = survivor_counts / trajectories
+    se = np.sqrt(np.clip(p_hat * (1.0 - p_hat), 0.0, None) / trajectories)
+    return p_hat, se
+
+
 def survival_curve(
     problem: AbsorbedChainProblem, config: SimConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical survival probabilities per step with binomial errors."""
-    tau, _, _, _, survivor_counts, _ = _engine(problem, config, None, False)
-    n = config.trajectories
-    p_hat = survivor_counts / n
-    se = np.sqrt(np.clip(p_hat * (1.0 - p_hat), 0.0, None) / n)
-    return p_hat, se
+    _, _, _, survivor_counts, _ = _absorbed_engine(problem, config, None, False)
+    return _survival_estimate(survivor_counts, config.trajectories)
 
 
 def simulate_qprocess(
@@ -294,26 +311,22 @@ def simulate_qprocess(
     """
     if (x, 0) not in set(kernel.class_states):
         raise ValidationError(f"state {x!r} at phase 0 is not in the kernel's class")
-    gamma = kernel.gamma
-    slices = [kernel.slice_for(n) for n in range(gamma)]
-    samplers = [_RowSampler(sl.matrix) for sl in slices]
-    col_labels = [np.array(sl.col_states, dtype=object) for sl in slices]
-    # a state seen as column j of slice n is a row of slice n+1
-    col_to_row = [
-        np.array(
-            [slices[(n + 1) % gamma].row_positions[lab] for lab in slices[n].col_states],
-            dtype=np.int64,
-        )
-        for n in range(gamma)
-    ]
-
-    cur_col = np.full(paths, slices[0].col_positions[x], dtype=np.int64)
-    history = np.empty((paths, steps + 1), dtype=object)
-    history[:, 0] = x
-    traj = np.arange(paths, dtype=np.uint64)
-    for t in range(1, steps + 1):
-        rows = col_to_row[(t - 1) % gamma][cur_col]
-        u = _uniforms(seed, traj, t)
-        cur_col = samplers[t % gamma].draw(rows, u)
-        history[:, t] = col_labels[t % gamma][cur_col]
-    return history.tolist()
+    # y at phase k is position offset[k] + (column of y in slice k); its row
+    # is slice k+1's row for y, so each row's running sums are its slice's.
+    slices = kernel.slices
+    offset = np.cumsum([0] + [len(sl.col_states) for sl in slices])
+    labels = np.array([y for sl in slices for y in sl.col_states], dtype=object)
+    n = labels.size
+    matrix = np.zeros((n, n))
+    for k, sl in enumerate(slices):
+        prev = (k - 1) % kernel.gamma
+        row_of = {y: i for i, y in enumerate(sl.row_states)}
+        order = [row_of[y] for y in slices[prev].col_states]
+        matrix[offset[prev]:offset[prev + 1], offset[k]:offset[k + 1]] = sl.matrix[order]
+    initial = np.zeros(n)
+    initial[slices[0].col_states.index(x)] = 1.0
+    _, _, positions, _, _ = _engine(
+        _RowSampler(matrix), initial, np.zeros((1, n), dtype=bool),
+        SimConfig(seed, paths, steps), None, record_paths=True,
+    )
+    return labels[positions].tolist()

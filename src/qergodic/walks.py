@@ -173,25 +173,6 @@ def closed_form_spectrum(p: float, K: int) -> ChebyshevEigenSystem:
     return ChebyshevEigenSystem(p, K, eigenvalues, left, right, nu, xi)
 
 
-def char_poly_eval(p: float, K: int, x) -> np.ndarray:
-    """Evaluate det(Q_K - x I) through the recursion itself.
-
-    The recursion is P_{K+2} = -x P_{K+1} - p(1-p) P_K with P_0 = 1 and
-    P_1 = -x; rescaling by powers of the off-diagonal product turns it
-    into the Chebyshev recursion of the second kind, which is where the
-    cosine spectrum comes from.  Running it at the point is numerically
-    stable (Clenshaw style), unlike expanding to monomial coefficients.
-    """
-    RandomWalkSpec(p, K=K)
-    x = np.asarray(x, dtype=float)
-    pq = p * (1.0 - p)
-    prev = np.ones_like(x)
-    cur = -x
-    for _ in range(K - 1):
-        prev, cur = cur, -x * cur - pq * prev
-    return cur if K >= 1 else prev
-
-
 def moving_walk_qed(N: int, start_parity: str) -> Distribution:
     """Mean-ratio limit for the 2-periodic moving walk, in closed form.
 

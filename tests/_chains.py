@@ -14,6 +14,8 @@ from qergodic import (
     AbsorbedChainProblem,
     Distribution,
     MovingBoundary,
+    QProcessKernel,
+    RandomWalkSpec,
     StateSpace,
     TransitionKernel,
     ValidationError,
@@ -492,3 +494,34 @@ def survival_probability_from_state(
     for _ in range(n):
         u = Q @ u
     return float(u[lifted.survivor_index[(label, phase)]])
+
+
+def char_poly_eval(p: float, K: int, x) -> np.ndarray:
+    """Evaluate det(Q_K - x I) through the recursion itself.
+
+    The recursion is P_{K+2} = -x P_{K+1} - p(1-p) P_K with P_0 = 1 and
+    P_1 = -x; rescaling by powers of the off-diagonal product turns it
+    into the Chebyshev recursion of the second kind, which is where the
+    cosine spectrum comes from.  Running it at the point is numerically
+    stable (Clenshaw style), unlike expanding to monomial coefficients.
+    """
+    RandomWalkSpec(p, K=K)
+    x = np.asarray(x, dtype=float)
+    pq = p * (1.0 - p)
+    prev = np.ones_like(x)
+    cur = -x
+    for _ in range(K - 1):
+        prev, cur = cur, -x * cur - pq * prev
+    return cur if K >= 1 else prev
+
+
+def homogeneous_kernel(
+    kernel: QProcessKernel, base_phase: int = 0
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """One-period product of the slices: a stationary gamma-step kernel."""
+    first = kernel.slice_for(base_phase + 1)
+    states = first.row_states
+    acc = np.eye(len(states))
+    for step in range(1, kernel.gamma + 1):
+        acc = acc @ kernel.slice_for(base_phase + step).matrix
+    return states, acc

@@ -62,6 +62,39 @@ def test_validate_rejects_bad_kernel(tmp_path, capsys):
     assert any("not stochastic" in v for v in report["violations"])
 
 
+def test_validate_names_a_short_row_with_a_plain_number(tmp_path, capsys):
+    data = {
+        "states": ["b", "a", "c"],
+        "kernel": [[0.5, 0.5, 0.0], [0.4, 0.5, 0.0], [0.0, 0.0, 1.0]],
+        "gamma": 1,
+        "killing_sets": [["c"]],
+        "initial": {"b": 1.0},
+    }
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--in", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [v for v in report["violations"] if v.startswith("kernel")] == [
+        "kernel row not stochastic: row 1 ('a') sums to 0.9"
+    ]
+
+
+@pytest.mark.parametrize("size", [["--N", "3"], ["--K", "4"]], ids=["N", "K"])
+@pytest.mark.parametrize("start", ["99", "0"])
+@pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+def test_randomwalk_rejects_a_start_absorbed_at_phase_zero(
+    tmp_path, capsys, size, start, out
+):
+    target = tmp_path / "gen.json"
+    argv = ["randomwalk", "--p", "0.5", *size, "--start", start]
+    code = main(argv + (["--out", str(target)] if out else []))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--start {start!r}" in captured.err
+    assert not target.exists()
+
+
 def test_malformed_json_exits_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
@@ -282,7 +315,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 def test_import_and_monte_carlo_load_no_scipy(tmp_path):
     spec = tmp_path / "walk.json"
     save_problem(moving_walk(0.45, 5), spec)
-    randomwalk = ["randomwalk", "--p", "0.45", "--N", "5", "--out", str(tmp_path / "w.json")]
+    randomwalk = ["randomwalk", "--p", "0.45", "--N", "5", "--start", "5",
+                  "--out", str(tmp_path / "w.json")]
     simulate = ["simulate", "--in", str(spec), "--paths", "200", "--horizon", "10",
                 "--out", str(tmp_path / "sim.json")]
     env = dict(os.environ)

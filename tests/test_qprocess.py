@@ -14,6 +14,7 @@ from qergodic import (
 )
 from _chains import (
     dense_sweep,
+    homogeneous_kernel,
     k2_walk,
     kernel_by_entry,
     n3_walk,
@@ -205,7 +206,7 @@ def test_cylinder_probability_leaving_class_is_zero():
 
 def test_homogeneous_kernel_is_row_stochastic_product():
     kernel = build_qprocess(n3_walk(0.35), "3")
-    states, matrix = kernel.homogeneous_kernel(0)
+    states, matrix = homogeneous_kernel(kernel, 0)
     assert states == kernel.slice_for(1).row_states
     np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
     two = kernel.slice_for(1).matrix @ kernel.slice_for(2).matrix

@@ -8,16 +8,21 @@ from qergodic import (
     Distribution,
     MovingBoundary,
     NoSurvivorsError,
+    PhaseSlice,
+    QProcessKernel,
     SimConfig,
     StateSpace,
     TransitionKernel,
+    ValidationError,
     build_qprocess,
+    build_qprocess_dominant,
     decompose_classes,
     estimate_conditionals,
     lift_chain,
     moving_walk,
     qed_moving,
     qld_cycle,
+    qprocess_closed_form,
     simulate_paths,
     simulate_qprocess,
     survival_coefficient,
@@ -249,6 +254,74 @@ def test_qprocess_simulation_never_absorbed_and_respects_parity():
             assert (int(label) + t) % 2 == 1
     total_steps = sum(len(p) - 1 for p in paths)
     assert total_steps == 1_000_000
+
+
+def reference_qpaths(kernel, x, steps, seed, paths):
+    """Label paths drawn one trajectory at a time: step t of trajectory i
+    reads the uniform keyed by (seed, i, t) and searches the dense row of
+    the current state in the slice for time t."""
+    result = []
+    for i in range(paths):
+        path = [x]
+        for t in range(1, steps + 1):
+            sl = kernel.slice_for(t)
+            u = _uniforms(seed, np.array([i], dtype=np.uint64), t)
+            row = np.array([sl.row_states.index(path[-1])])
+            path.append(sl.col_states[int(dense_draw(sl.matrix, row, u)[0])])
+        result.append(path)
+    return result
+
+
+def shuffled_slices(kernel, rng):
+    """The same kernel with the rows and columns of every slice listed in
+    independent random orders, so no slice's columns are in the order of
+    the next slice's rows."""
+    slices = []
+    for sl in kernel.slices:
+        r = rng.permutation(len(sl.row_states))
+        c = rng.permutation(len(sl.col_states))
+        slices.append(
+            PhaseSlice(
+                sl.phase,
+                tuple(sl.row_states[i] for i in r),
+                tuple(sl.col_states[j] for j in c),
+                sl.matrix[np.ix_(r, c)],
+            )
+        )
+    return QProcessKernel(
+        kernel.gamma, kernel.rho, kernel.class_states, tuple(slices),
+        kernel.row_sum_deviation,
+    )
+
+
+QPROCESS_KERNELS = {
+    "closed-3-even": lambda: qprocess_closed_form(0.45, 3, "even"),
+    "closed-3-odd": lambda: qprocess_closed_form(0.45, 3, "odd"),
+    "closed-20-even": lambda: qprocess_closed_form(0.45, 20, "even"),
+    "closed-20-odd": lambda: qprocess_closed_form(0.45, 20, "odd"),
+    "walk": lambda: build_qprocess_dominant(moving_walk(0.45, 6)),
+    "random-5": lambda: build_qprocess_dominant(random_problem(np.random.default_rng(5))),
+    "random-6": lambda: build_qprocess_dominant(random_problem(np.random.default_rng(6))),
+    "shuffled": lambda: shuffled_slices(
+        build_qprocess_dominant(moving_walk(0.45, 6)), np.random.default_rng(1)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", QPROCESS_KERNELS)
+def test_qprocess_stream_matches_per_path_reference(name):
+    kernel = QPROCESS_KERNELS[name]()
+    starts = kernel.slice_for(0).col_states
+    x = starts[len(starts) // 2]
+    expected = reference_qpaths(kernel, x, steps=25, seed=41, paths=30)
+    assert simulate_qprocess(kernel, x, steps=25, seed=41, paths=30) == expected
+
+
+@pytest.mark.parametrize("steps, paths", [(-1, 5), (10, 0)])
+def test_qprocess_simulation_rejects_empty_runs(steps, paths):
+    kernel = qprocess_closed_form(0.45, 3, "odd")
+    with pytest.raises(ValidationError):
+        simulate_qprocess(kernel, "3", steps=steps, seed=1, paths=paths)
 
 
 @st.composite

@@ -14,7 +14,7 @@ from qergodic import (
     survivor_matrix_fixed,
     validate_problem,
 )
-from qergodic.walks import char_poly_eval
+from _chains import char_poly_eval
 
 
 def test_spec_validation():
