@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
@@ -174,14 +175,14 @@ class MovingBoundary:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability weights over a labelled state set."""
+    """Probability weights over a labelled state set, held in a read-only
+    mapping."""
 
-    weights: dict[str, float]
+    weights: Mapping[str, float]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", {k: float(v) for k, v in dict(self.weights).items()}
-        )
+        weights = {k: float(v) for k, v in dict(self.weights).items()}
+        object.__setattr__(self, "weights", MappingProxyType(weights))
 
     @classmethod
     def point_mass(cls, label: str) -> "Distribution":
@@ -226,6 +227,12 @@ class AbsorbedChainProblem:
     Run :func:`validate_problem` to obtain a report of violations.
     ``alive[k, i]`` says whether state i survives phase k; every module
     reads the boundary through this one array.
+
+    Every part of a problem is immutable, so what is derived from it is
+    built on first use and kept as long as the problem: ``alive``, the
+    one lift that :func:`lift_chain` returns, and the validation report,
+    whose absorption check reads that lift's class decomposition.
+    ``dataclasses.replace`` gives a new problem, which builds its own.
     """
 
     space: StateSpace
@@ -262,22 +269,80 @@ class AbsorbedChainProblem:
         alive = self.alive[phase % self.gamma]
         return tuple(x for x, a in zip(self.space.labels, alive) if a)
 
+    @cached_property
+    def _lift(self) -> LiftedChain:
+        return LiftedChain(self)
+
+    @cached_property
+    def _structural_violations(self) -> tuple[str, ...]:
+        """The checks that need numpy only: kernel, killing sets, initial law."""
+        space = self.space
+        violations = _kernel_violations(self.kernel.matrix, space.labels)
+
+        for k, killed in enumerate(self.boundary.killing_sets):
+            unknown = sorted(x for x in killed if x not in space)
+            if unknown:
+                violations.append(
+                    f"killing set at phase {k} contains unknown states {unknown}"
+                )
+            elif len(killed) >= space.size:
+                violations.append(f"empty survival set at phase {k}")
+
+        weights = self.initial.weights
+        unknown = sorted(x for x in weights if x not in space)
+        if unknown:
+            violations.append(f"initial distribution names unknown states {unknown}")
+        if not all(np.isfinite(w) for w in weights.values()):
+            violations.append("initial distribution has non-finite weights")
+        negative = sorted(x for x, w in weights.items() if w < 0.0)
+        if negative:
+            violations.append(f"initial distribution has negative weights at {negative}")
+        total = self.initial.total()
+        if abs(total - 1.0) > ROW_SUM_TOL:
+            violations.append(f"initial distribution does not sum to 1 (sum = {total!r})")
+        if not unknown:
+            killed0 = self.boundary.killing_set(0)
+            on_boundary = sorted(
+                x for x, w in weights.items() if w > 0.0 and x in killed0
+            )
+            if on_boundary:
+                violations.append(
+                    "initial distribution not supported on the phase-0 survival "
+                    f"set (mass on {on_boundary})"
+                )
+        return tuple(violations)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """The structural violations, or else the absorption check's."""
+        if self._structural_violations:
+            return self._structural_violations
+        radius = max((c.rho for c in self._lift.decomposition.classes), default=0.0)
+        if radius < 1.0 - ABSORPTION_RADIUS_TOL:
+            return ()
+        return (
+            "absorption is not almost sure: lifted survivor matrix has "
+            f"spectral radius {radius!r}",
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class LiftedChain:
     """The chain on (state, phase) pairs with a static killing set.
 
-    One lift serves one analysis call: every array below is built on
-    first read and kept.  Lifted survivor i is state ``state[i]`` at phase
-    ``phase[i]``, the positions of ``np.nonzero(problem.alive)``, so the
-    order is phase-major with state-space order within a phase;
+    A problem has one lift, the one :func:`lift_chain` returns; it lives
+    as long as the problem and serves every analysis of it, and every
+    array below is built on first read and kept.  Lifted survivor i is
+    state ``state[i]`` at phase ``phase[i]``, the positions of
+    ``np.nonzero(problem.alive)``, so the order is phase-major with
+    state-space order within a phase;
     ``survivors`` lists the same pairs by label; ``survivor_csr`` is the
     substochastic one-step matrix on them, cut from the problem's one
     ``kernel.normalized``, and the one form of the lift that the library
     reads; ``initial_vector`` carries the problem's initial
     mass placed at phase 0 (unnormalized); ``decomposition`` is the class
     decomposition of ``survivor_csr``, shared by validation and every
-    analysis run on this lift.  ``survivor_matrix`` and ``matrix`` are
+    analysis of the problem.  ``survivor_matrix`` and ``matrix`` are
     dense views for inspection, built on each read.
     """
 
@@ -346,79 +411,39 @@ class LiftedChain:
         return self.initial_vector / total
 
 
-def validate_problem(
-    problem: AbsorbedChainProblem, lifted: LiftedChain | None = None
-) -> list[str]:
+def validate_problem(problem: AbsorbedChainProblem) -> list[str]:
     """Check every invariant of a problem and report the violations.
 
     Returns an empty list exactly when the problem is valid.  The checks
     that need arithmetic on the kernel (almost-sure absorption) run only
     when the structural checks pass; they read the class decomposition of
-    ``lifted``, the lift of ``problem``, which is created when not given.
+    the problem's one lift.  The report is built on the first call and
+    kept as long as the problem, so later calls and :func:`lift_chain`
+    return it without checking again.
     """
-    space = problem.space
-    violations = _kernel_violations(problem.kernel.matrix, space.labels)
+    return list(problem._violations)
 
-    for k, killed in enumerate(problem.boundary.killing_sets):
-        unknown = sorted(x for x in killed if x not in space)
-        if unknown:
-            violations.append(
-                f"killing set at phase {k} contains unknown states {unknown}"
-            )
-        elif len(killed) >= space.size:
-            violations.append(f"empty survival set at phase {k}")
 
-    weights = problem.initial.weights
-    unknown = sorted(x for x in weights if x not in space)
-    if unknown:
-        violations.append(f"initial distribution names unknown states {unknown}")
-    if not all(np.isfinite(w) for w in weights.values()):
-        violations.append("initial distribution has non-finite weights")
-    negative = sorted(x for x, w in weights.items() if w < 0.0)
-    if negative:
-        violations.append(f"initial distribution has negative weights at {negative}")
-    total = problem.initial.total()
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        violations.append(f"initial distribution does not sum to 1 (sum = {total!r})")
-    if not unknown:
-        killed0 = problem.boundary.killing_set(0)
-        on_boundary = sorted(
-            x for x, w in weights.items() if w > 0.0 and x in killed0
-        )
-        if on_boundary:
-            violations.append(
-                "initial distribution not supported on the phase-0 survival "
-                f"set (mass on {on_boundary})"
-            )
-
-    if not violations:
-        if lifted is None:
-            lifted = LiftedChain(problem)
-        radius = max((c.rho for c in lifted.decomposition.classes), default=0.0)
-        if radius >= 1.0 - ABSORPTION_RADIUS_TOL:
-            violations.append(
-                "absorption is not almost sure: lifted survivor matrix has "
-                f"spectral radius {radius!r}"
-            )
-    return violations
+def _raise_violations(violations) -> None:
+    if violations:
+        raise ValidationError("invalid problem: " + "; ".join(violations), violations)
 
 
 def lift_chain(problem: AbsorbedChainProblem, validate: bool = True) -> LiftedChain:
-    """Lift the chain to (state, phase) pairs, validating the problem first.
+    """The lift of a valid problem to (state, phase) pairs.
 
     The lifted kernel moves ``(x, k)`` to ``(y, k+1 mod gamma)`` with the
     original probability ``P(x, y)``; the lifted killing set collects all
     ``(x, k)`` with ``x`` killed at phase ``k`` and no longer moves.
-    Validation decomposes the returned lift, so callers reuse that work.
+    Raises ValidationError with the report of :func:`validate_problem`
+    when the problem is invalid.  A problem has one lift, built on first
+    use and kept as long as the problem: every call returns it, so every
+    analysis of one problem shares its arrays and its decomposition.
+    ``validate=False`` returns the same lift without the check.
     """
-    lifted = LiftedChain(problem)
     if validate:
-        violations = validate_problem(problem, lifted)
-        if violations:
-            raise ValidationError(
-                "invalid problem: " + "; ".join(violations), violations
-            )
-    return lifted
+        _raise_violations(validate_problem(problem))
+    return problem._lift
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,8 @@ class QProcessKernel:
         return prob
 
 
-def _class_of_lifted_state(lifted, key) -> IrreducibleClass:
+def _class_of_lifted_state(problem, key) -> IrreducibleClass:
+    lifted = lift_chain(problem)
     try:
         pos = lifted.survivor_index[key]
     except KeyError:
@@ -98,12 +99,13 @@ def _class_of_lifted_state(lifted, key) -> IrreducibleClass:
     return decomposition.classes[int(decomposition.class_of[pos])]
 
 
-def _kernel_for_class(problem, lifted, cls) -> QProcessKernel:
+def _kernel_for_class(problem, cls) -> QProcessKernel:
     if cls.rho <= 0.0:
         raise NullEventError(
             "the class has decay rate 0: survival beyond finitely many steps "
             "is impossible, so there is no conditioned chain"
         )
+    lifted = lift_chain(problem)
     gamma = lifted.gamma
     space = problem.space
 
@@ -141,17 +143,14 @@ def build_qprocess(problem: AbsorbedChainProblem, x: str) -> QProcessKernel:
     the Perron identity of the class (deviations beyond round-off are
     reported on the result before exact renormalization).
     """
-    lifted = lift_chain(problem)
-    cls = _class_of_lifted_state(lifted, (x, 0))
-    return _kernel_for_class(problem, lifted, cls)
+    return _kernel_for_class(problem, _class_of_lifted_state(problem, (x, 0)))
 
 
 def build_qprocess_dominant(problem: AbsorbedChainProblem) -> QProcessKernel:
     """Kernel on the dominant class selected by the problem's initial law."""
     lifted = lift_chain(problem)
     selection = select_dominant(lifted.decomposition, lifted.initial_vector)
-    cls = selection.selected(lifted.decomposition)
-    return _kernel_for_class(problem, lifted, cls)
+    return _kernel_for_class(problem, selection.selected(lifted.decomposition))
 
 
 def finite_horizon_qlaw(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import AbsorbedChainProblem, Distribution
+from .chain import AbsorbedChainProblem, Distribution, _raise_violations
 from .conditioning import state_function
 from .errors import NoSurvivorsError, ValidationError
 from .qprocess import QProcessKernel
@@ -56,11 +56,17 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _uniforms(seed: int, traj: np.ndarray, step: int) -> np.ndarray:
-    """Uniform [0, 1) draws keyed by (seed, trajectory, step)."""
+def _path_keys(traj: np.ndarray) -> np.ndarray:
+    """The mixed key of each trajectory index, the part of every draw that
+    depends on the trajectory alone."""
+    return _mix64(traj.astype(np.uint64) + _GOLDEN)
+
+
+def _uniforms(seed: int, keys: np.ndarray, step: int) -> np.ndarray:
+    """Uniform [0, 1) draws keyed by (seed, trajectory, step), for the
+    trajectories whose ``_path_keys`` are ``keys``."""
     with np.errstate(over="ignore"):
-        h = _mix64(traj.astype(np.uint64) + _GOLDEN)
-        h = _mix64(h ^ _mix64(np.uint64(step & 0xFFFFFFFFFFFFFFFF) + _GOLDEN))
+        h = _mix64(keys ^ _mix64(np.uint64(step & 0xFFFFFFFFFFFFFFFF) + _GOLDEN))
         h = _mix64(h ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
     return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
@@ -199,13 +205,14 @@ def _engine(sampler: _RowSampler, initial: np.ndarray, killed: np.ndarray,
 
     for lo, hi in config.shard_ranges():
         alive_idx = np.arange(lo, hi, dtype=np.int64)
+        keys = _path_keys(alive_idx)
         states = np.zeros(hi - lo, dtype=np.int64)  # the initial law's one row
         for t in range(horizon + 1):
             if alive_idx.size == 0:
                 break
             if fvec is not None and t:
                 fsum[alive_idx] += fvec[states]
-            u = _uniforms(config.seed, alive_idx, t)
+            u = _uniforms(config.seed, keys, t)
             states = (sampler if t else initial_sampler).draw(states, u)
             if record_paths:
                 paths[alive_idx, t] = states
@@ -213,6 +220,7 @@ def _engine(sampler: _RowSampler, initial: np.ndarray, killed: np.ndarray,
             if dead_now.any():
                 tau[alive_idx[dead_now]] = t
                 alive_idx = alive_idx[~dead_now]
+                keys = keys[~dead_now]
                 states = states[~dead_now]
             survivor_counts[t] += alive_idx.size
             law_counts[t] += np.bincount(states, minlength=n_states)
@@ -222,10 +230,12 @@ def _engine(sampler: _RowSampler, initial: np.ndarray, killed: np.ndarray,
 
 def _absorbed_engine(problem: AbsorbedChainProblem, config: SimConfig, fvec,
                      record_paths: bool):
-    """``_engine`` on the problem's kernel, initial law and killing sets."""
+    """``_engine`` on the problem's kernel, initial law and killing sets,
+    once the problem passes the structural checks of ``validate_problem``.
+    The absorption check is left out: it decomposes the lift, which needs
+    scipy, and the simulation needs numpy only."""
+    _raise_violations(problem._structural_violations)
     init = problem.initial.to_array(problem.space)
-    if np.any(init < 0.0) or init.sum() <= 0.0:
-        raise ValidationError("initial law must be nonnegative with positive mass")
     return _engine(
         _RowSampler(problem.kernel.normalized), init / init.sum(), ~problem.alive,
         config, fvec, record_paths,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from qergodic import (
     conditional_law,
     decompose_classes,
     estimate_conditionals,
+    exact_mean_ratio,
     finite_horizon_qlaw,
     lift_chain,
     loads_problem,
@@ -60,6 +62,17 @@ def test_state_space_rejects_duplicates():
 
 def test_validate_clean_problem():
     assert validate_problem(n3_walk()) == []
+
+
+def test_distribution_weights_are_read_only():
+    weights = {"3": 1.0}
+    dist = Distribution(weights)
+    weights["3"] = 0.5
+    assert dist.weights == {"3": 1.0}
+    with pytest.raises(TypeError):
+        dist.weights["3"] = 0.5
+    with pytest.raises(TypeError):
+        n3_walk().initial.weights["2"] = 0.0
 
 
 def test_validate_reports_non_stochastic_row():
@@ -316,6 +329,29 @@ def test_each_call_decomposes_once(entry, decompositions, tmp_path):
     save_problem(problem, spec)
     ENTRY_POINTS[entry](problem, spec)
     assert len(decompositions) == 1
+
+
+def test_one_problem_is_validated_and_decomposed_once(decompositions):
+    problem = n3_walk()
+    assert validate_problem(problem) == []
+    for entry, run in ENTRY_POINTS.items():
+        if not entry.startswith("cli_"):  # the CLI loads a problem of its own
+            run(problem, None)
+    exact_mean_ratio(problem, F, 10)
+    assert len(decompositions) == 1
+    assert lift_chain(problem) is lift_chain(problem)
+    assert lift_chain(dataclasses.replace(problem)) is not lift_chain(problem)
+
+    never_absorbed = AbsorbedChainProblem(
+        StateSpace(("a", "b")),
+        TransitionKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        MovingBoundary(1, (frozenset(),)),
+        Distribution.point_mass("a"),
+    )
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="absorption is not almost sure"):
+            lift_chain(never_absorbed)
+    assert len(decompositions) == 3  # the copy's lift and never_absorbed's, once each
 
 
 @pytest.mark.parametrize(

@@ -62,21 +62,34 @@ def test_validate_rejects_bad_kernel(tmp_path, capsys):
     assert any("not stochastic" in v for v in report["violations"])
 
 
+SHORT_ROW_SPEC = {
+    "states": ["b", "a", "c"],
+    "kernel": [[0.5, 0.5, 0.0], [0.4, 0.5, 0.0], [0.0, 0.0, 1.0]],
+    "gamma": 1,
+    "killing_sets": [["c"]],
+    "initial": {"b": 1.0},
+}
+
+
 def test_validate_names_a_short_row_with_a_plain_number(tmp_path, capsys):
-    data = {
-        "states": ["b", "a", "c"],
-        "kernel": [[0.5, 0.5, 0.0], [0.4, 0.5, 0.0], [0.0, 0.0, 1.0]],
-        "gamma": 1,
-        "killing_sets": [["c"]],
-        "initial": {"b": 1.0},
-    }
     path = tmp_path / "short.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(SHORT_ROW_SPEC))
     assert main(["validate", "--in", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert [v for v in report["violations"] if v.startswith("kernel")] == [
         "kernel row not stochastic: row 1 ('a') sums to 0.9"
     ]
+
+
+def test_simulate_names_a_short_row_by_its_label(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(SHORT_ROW_SPEC))
+    assert main(["simulate", "--in", str(path), "--paths", "10", "--horizon", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: invalid problem: kernel row not stochastic: row 1 ('a') sums to 0.9\n"
+    )
 
 
 @pytest.mark.parametrize("size", [["--N", "3"], ["--K", "4"]], ids=["N", "K"])

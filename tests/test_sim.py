@@ -28,7 +28,7 @@ from qergodic import (
     survival_coefficient,
     survival_curve,
 )
-from qergodic.sim import _path_dtype, _RowSampler, _uniforms
+from qergodic.sim import _path_dtype, _path_keys, _RowSampler, _uniforms
 from _chains import dense_draw, n3_walk, random_problem, symmetric_slow_chain
 
 
@@ -126,7 +126,7 @@ def reference_paths(problem, config):
     for i in range(config.trajectories):
         state = 0
         for t in range(config.horizon + 1):
-            u = _uniforms(config.seed, np.array([i], dtype=np.uint64), t)
+            u = _uniforms(config.seed, _path_keys(np.array([i])), t)
             state = int(dense_draw(P if t else init / init.sum(), np.array([state]), u)[0])
             paths[i, t] = state
             if not problem.alive[t % problem.gamma, state]:
@@ -265,7 +265,7 @@ def reference_qpaths(kernel, x, steps, seed, paths):
         path = [x]
         for t in range(1, steps + 1):
             sl = kernel.slice_for(t)
-            u = _uniforms(seed, np.array([i], dtype=np.uint64), t)
+            u = _uniforms(seed, _path_keys(np.array([i])), t)
             row = np.array([sl.row_states.index(path[-1])])
             path.append(sl.col_states[int(dense_draw(sl.matrix, row, u)[0])])
         result.append(path)
