@@ -88,20 +88,20 @@ class StateSpace:
         return label in self._index
 
 
-def _kernel_violations(matrix: np.ndarray, labels) -> list[str]:
-    """Why ``matrix`` is not row-stochastic within ``ROW_SUM_TOL``, naming
-    rows and entries by ``labels``; empty when it is."""
+def _kernel_violations(kernel: "TransitionKernel", labels) -> list[str]:
+    """Why the kernel is not row-stochastic within ``ROW_SUM_TOL``, naming
+    rows and entries by ``labels``; empty when it is.  Reads the kernel's
+    one scan, so each kernel is checked once whoever asks."""
+    finite, bad, sums = kernel._scan
     violations: list[str] = []
-    if not np.all(np.isfinite(matrix)):
+    if not finite:
         violations.append("kernel contains non-finite entries")
-    bad = np.argwhere((matrix < 0.0) | (matrix > 1.0 + ROW_SUM_TOL))
-    if bad.size:
-        i, j = bad[0]
+    if bad is not None:
+        i, j = bad
         violations.append(
             f"kernel entry out of [0, 1] at ({labels[i]!r}, {labels[j]!r}): "
-            f"{float(matrix[i, j])!r}"
+            f"{float(kernel.matrix[i, j])!r}"
         )
-    sums = matrix.sum(axis=1)
     for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
         violations.append(
             f"kernel row not stochastic: row {i} ({labels[i]!r}) sums to {float(sums[i])!r}"
@@ -114,7 +114,9 @@ class TransitionKernel:
     """Row-stochastic transition matrix, rows indexed by source state.
 
     ``matrix`` holds the entries as given.  ``normalized``, the one form
-    that arithmetic reads, is checked and built once, on first read.
+    that arithmetic reads, is checked and built once, on first read; the
+    check's scan of the entries is made once and also serves
+    :func:`validate_problem`.
     """
 
     matrix: np.ndarray
@@ -130,6 +132,15 @@ class TransitionKernel:
         return self.matrix.shape[0]
 
     @cached_property
+    def _scan(self) -> tuple[bool, tuple[int, int] | None, np.ndarray]:
+        """Whether every entry is finite, the first entry outside [0, 1]
+        (None if there is none) and the row sums."""
+        m = self.matrix
+        bad = np.argwhere((m < 0.0) | (m > 1.0 + ROW_SUM_TOL))
+        first_bad = tuple(bad[0]) if bad.size else None
+        return bool(np.all(np.isfinite(m))), first_bad, m.sum(axis=1)
+
+    @cached_property
     def normalized(self) -> np.ndarray:
         """Read-only copy with each row divided by its sum.
 
@@ -137,13 +148,13 @@ class TransitionKernel:
         :func:`validate_problem` with states labelled ``'0'..'n-1'``, when
         the matrix is not row-stochastic within ``ROW_SUM_TOL``.
         """
-        violations = _kernel_violations(self.matrix, [str(i) for i in range(self.size)])
+        violations = _kernel_violations(self, [str(i) for i in range(self.size)])
         if violations:
             raise ValidationError(
                 "kernel is not row-stochastic within tolerance: " + "; ".join(violations),
                 violations,
             )
-        normalized = self.matrix / self.matrix.sum(axis=1)[:, None]
+        normalized = self.matrix / self._scan[2][:, None]
         normalized.setflags(write=False)
         return normalized
 
@@ -183,6 +194,10 @@ class Distribution:
     def __post_init__(self):
         weights = {k: float(v) for k, v in dict(self.weights).items()}
         object.__setattr__(self, "weights", MappingProxyType(weights))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or copied; its dict can.
+        return Distribution, (dict(self.weights),)
 
     @classmethod
     def point_mass(cls, label: str) -> "Distribution":
@@ -226,13 +241,9 @@ class AbsorbedChainProblem:
     survivor (the lifted survivor matrix has spectral radius below 1).
     Run :func:`validate_problem` to obtain a report of violations.
     ``alive[k, i]`` says whether state i survives phase k; every module
-    reads the boundary through this one array.
-
-    Every part of a problem is immutable, so what is derived from it is
-    built on first use and kept as long as the problem: ``alive``, the
-    one lift that :func:`lift_chain` returns, and the validation report,
-    whose absorption check reads that lift's class decomposition.
-    ``dataclasses.replace`` gives a new problem, which builds its own.
+    reads the boundary through this one array.  Every part of a problem
+    is immutable, so ``alive`` and the kernel's ``normalized``, built on
+    first use and kept, cannot go stale.
     """
 
     space: StateSpace
@@ -269,80 +280,22 @@ class AbsorbedChainProblem:
         alive = self.alive[phase % self.gamma]
         return tuple(x for x, a in zip(self.space.labels, alive) if a)
 
-    @cached_property
-    def _lift(self) -> LiftedChain:
-        return LiftedChain(self)
-
-    @cached_property
-    def _structural_violations(self) -> tuple[str, ...]:
-        """The checks that need numpy only: kernel, killing sets, initial law."""
-        space = self.space
-        violations = _kernel_violations(self.kernel.matrix, space.labels)
-
-        for k, killed in enumerate(self.boundary.killing_sets):
-            unknown = sorted(x for x in killed if x not in space)
-            if unknown:
-                violations.append(
-                    f"killing set at phase {k} contains unknown states {unknown}"
-                )
-            elif len(killed) >= space.size:
-                violations.append(f"empty survival set at phase {k}")
-
-        weights = self.initial.weights
-        unknown = sorted(x for x in weights if x not in space)
-        if unknown:
-            violations.append(f"initial distribution names unknown states {unknown}")
-        if not all(np.isfinite(w) for w in weights.values()):
-            violations.append("initial distribution has non-finite weights")
-        negative = sorted(x for x, w in weights.items() if w < 0.0)
-        if negative:
-            violations.append(f"initial distribution has negative weights at {negative}")
-        total = self.initial.total()
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            violations.append(f"initial distribution does not sum to 1 (sum = {total!r})")
-        if not unknown:
-            killed0 = self.boundary.killing_set(0)
-            on_boundary = sorted(
-                x for x, w in weights.items() if w > 0.0 and x in killed0
-            )
-            if on_boundary:
-                violations.append(
-                    "initial distribution not supported on the phase-0 survival "
-                    f"set (mass on {on_boundary})"
-                )
-        return tuple(violations)
-
-    @cached_property
-    def _violations(self) -> tuple[str, ...]:
-        """The structural violations, or else the absorption check's."""
-        if self._structural_violations:
-            return self._structural_violations
-        radius = max((c.rho for c in self._lift.decomposition.classes), default=0.0)
-        if radius < 1.0 - ABSORPTION_RADIUS_TOL:
-            return ()
-        return (
-            "absorption is not almost sure: lifted survivor matrix has "
-            f"spectral radius {radius!r}",
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class LiftedChain:
     """The chain on (state, phase) pairs with a static killing set.
 
-    A problem has one lift, the one :func:`lift_chain` returns; it lives
-    as long as the problem and serves every analysis of it, and every
-    array below is built on first read and kept.  Lifted survivor i is
-    state ``state[i]`` at phase ``phase[i]``, the positions of
-    ``np.nonzero(problem.alive)``, so the order is phase-major with
-    state-space order within a phase;
+    One lift serves one analysis call: every array below is built on
+    first read and kept.  Lifted survivor i is state ``state[i]`` at phase
+    ``phase[i]``, the positions of ``np.nonzero(problem.alive)``, so the
+    order is phase-major with state-space order within a phase;
     ``survivors`` lists the same pairs by label; ``survivor_csr`` is the
     substochastic one-step matrix on them, cut from the problem's one
     ``kernel.normalized``, and the one form of the lift that the library
     reads; ``initial_vector`` carries the problem's initial
     mass placed at phase 0 (unnormalized); ``decomposition`` is the class
     decomposition of ``survivor_csr``, shared by validation and every
-    analysis of the problem.  ``survivor_matrix`` and ``matrix`` are
+    analysis run on this lift.  ``survivor_matrix`` and ``matrix`` are
     dense views for inspection, built on each read.
     """
 
@@ -411,39 +364,86 @@ class LiftedChain:
         return self.initial_vector / total
 
 
-def validate_problem(problem: AbsorbedChainProblem) -> list[str]:
+def _structural_violations(problem: AbsorbedChainProblem) -> list[str]:
+    """The checks of :func:`validate_problem` that need numpy only: the
+    kernel, the killing sets and the initial law."""
+    space = problem.space
+    violations = _kernel_violations(problem.kernel, space.labels)
+
+    for k, killed in enumerate(problem.boundary.killing_sets):
+        unknown = sorted(x for x in killed if x not in space)
+        if unknown:
+            violations.append(
+                f"killing set at phase {k} contains unknown states {unknown}"
+            )
+        elif len(killed) >= space.size:
+            violations.append(f"empty survival set at phase {k}")
+
+    weights = problem.initial.weights
+    unknown = sorted(x for x in weights if x not in space)
+    if unknown:
+        violations.append(f"initial distribution names unknown states {unknown}")
+    if not all(np.isfinite(w) for w in weights.values()):
+        violations.append("initial distribution has non-finite weights")
+    negative = sorted(x for x, w in weights.items() if w < 0.0)
+    if negative:
+        violations.append(f"initial distribution has negative weights at {negative}")
+    total = problem.initial.total()
+    if abs(total - 1.0) > ROW_SUM_TOL:
+        violations.append(f"initial distribution does not sum to 1 (sum = {total!r})")
+    if not unknown:
+        killed0 = problem.boundary.killing_set(0)
+        on_boundary = sorted(
+            x for x, w in weights.items() if w > 0.0 and x in killed0
+        )
+        if on_boundary:
+            violations.append(
+                "initial distribution not supported on the phase-0 survival "
+                f"set (mass on {on_boundary})"
+            )
+    return violations
+
+
+def validate_problem(
+    problem: AbsorbedChainProblem, lifted: LiftedChain | None = None
+) -> list[str]:
     """Check every invariant of a problem and report the violations.
 
     Returns an empty list exactly when the problem is valid.  The checks
     that need arithmetic on the kernel (almost-sure absorption) run only
     when the structural checks pass; they read the class decomposition of
-    the problem's one lift.  The report is built on the first call and
-    kept as long as the problem, so later calls and :func:`lift_chain`
-    return it without checking again.
+    ``lifted``, the lift of ``problem``, which is created when not given.
     """
-    return list(problem._violations)
+    violations = _structural_violations(problem)
+    if not violations:
+        if lifted is None:
+            lifted = LiftedChain(problem)
+        radius = max((c.rho for c in lifted.decomposition.classes), default=0.0)
+        if radius >= 1.0 - ABSORPTION_RADIUS_TOL:
+            violations.append(
+                "absorption is not almost sure: lifted survivor matrix has "
+                f"spectral radius {radius!r}"
+            )
+    return violations
 
 
-def _raise_violations(violations) -> None:
+def _raise_violations(violations: list[str]) -> None:
     if violations:
         raise ValidationError("invalid problem: " + "; ".join(violations), violations)
 
 
 def lift_chain(problem: AbsorbedChainProblem, validate: bool = True) -> LiftedChain:
-    """The lift of a valid problem to (state, phase) pairs.
+    """Lift the chain to (state, phase) pairs, validating the problem first.
 
     The lifted kernel moves ``(x, k)`` to ``(y, k+1 mod gamma)`` with the
     original probability ``P(x, y)``; the lifted killing set collects all
     ``(x, k)`` with ``x`` killed at phase ``k`` and no longer moves.
-    Raises ValidationError with the report of :func:`validate_problem`
-    when the problem is invalid.  A problem has one lift, built on first
-    use and kept as long as the problem: every call returns it, so every
-    analysis of one problem shares its arrays and its decomposition.
-    ``validate=False`` returns the same lift without the check.
+    Validation decomposes the returned lift, so callers reuse that work.
     """
+    lifted = LiftedChain(problem)
     if validate:
-        _raise_violations(validate_problem(problem))
-    return problem._lift
+        _raise_violations(validate_problem(problem, lifted))
+    return lifted
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def _cyclic_solve(rho: float, A, B: np.ndarray, shift: int) -> np.ndarray:
     return spsolve(M, B.ravel(), permc_spec="NATURAL").reshape(B.shape) if B.size else B
 
 
-def _peripheral_laws(problem, i: int, live: set[int], T: int) -> np.ndarray:
+def _peripheral_laws(lifted, i: int, live: set[int], T: int) -> np.ndarray:
     """Lifted laws ``mu Pi_r``, r < T, of the peripheral projector of class i.
 
     ``Pi_r = sum_k omega_k^r r_k l_k``, with ``r_k = (lambda_k - Q_UU)^{-1}
@@ -231,7 +231,6 @@ def _peripheral_laws(problem, i: int, live: set[int], T: int) -> np.ndarray:
     ``rho L_{j+1} = L_j Q`` on W (nonsingular, as U and W decay faster).
     The terms are nonnegative, so no rounding lands on uncharged states.
     """
-    lifted = lift_chain(problem)
     dec, Q = lifted.decomposition, lifted.survivor_csr
     mu = lifted.normalized_initial()
     cls = dec.classes[i]
@@ -274,7 +273,7 @@ def qld_cycle(problem: AbsorbedChainProblem) -> QldCycle:
         raise Hypothesis1Error(f"{msg} and one of them reaches another", tied)
     T = lcm(*(dec.classes[i].period for i in tied))
     gamma = problem.gamma
-    lifted_laws = sum(_peripheral_laws(problem, i, live, T) for i in tied)
+    lifted_laws = sum(_peripheral_laws(lifted, i, live, T) for i in tied)
     lifted_laws *= lifted.phase == np.arange(T)[:, None] % gamma
     laws = np.zeros((T, problem.space.size))
     np.add.at(laws, (slice(None), lifted.state), np.maximum(lifted_laws, 0.0))

@@ -86,8 +86,7 @@ class QProcessKernel:
         return prob
 
 
-def _class_of_lifted_state(problem, key) -> IrreducibleClass:
-    lifted = lift_chain(problem)
+def _class_of_lifted_state(lifted, key) -> IrreducibleClass:
     try:
         pos = lifted.survivor_index[key]
     except KeyError:
@@ -99,13 +98,12 @@ def _class_of_lifted_state(problem, key) -> IrreducibleClass:
     return decomposition.classes[int(decomposition.class_of[pos])]
 
 
-def _kernel_for_class(problem, cls) -> QProcessKernel:
+def _kernel_for_class(problem, lifted, cls) -> QProcessKernel:
     if cls.rho <= 0.0:
         raise NullEventError(
             "the class has decay rate 0: survival beyond finitely many steps "
             "is impossible, so there is no conditioned chain"
         )
-    lifted = lift_chain(problem)
     gamma = lifted.gamma
     space = problem.space
 
@@ -143,14 +141,17 @@ def build_qprocess(problem: AbsorbedChainProblem, x: str) -> QProcessKernel:
     the Perron identity of the class (deviations beyond round-off are
     reported on the result before exact renormalization).
     """
-    return _kernel_for_class(problem, _class_of_lifted_state(problem, (x, 0)))
+    lifted = lift_chain(problem)
+    cls = _class_of_lifted_state(lifted, (x, 0))
+    return _kernel_for_class(problem, lifted, cls)
 
 
 def build_qprocess_dominant(problem: AbsorbedChainProblem) -> QProcessKernel:
     """Kernel on the dominant class selected by the problem's initial law."""
     lifted = lift_chain(problem)
     selection = select_dominant(lifted.decomposition, lifted.initial_vector)
-    return _kernel_for_class(problem, selection.selected(lifted.decomposition))
+    cls = selection.selected(lifted.decomposition)
+    return _kernel_for_class(problem, lifted, cls)
 
 
 def finite_horizon_qlaw(

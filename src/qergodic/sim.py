@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import AbsorbedChainProblem, Distribution, _raise_violations
+from .chain import AbsorbedChainProblem, Distribution, _raise_violations, _structural_violations
 from .conditioning import state_function
 from .errors import NoSurvivorsError, ValidationError
 from .qprocess import QProcessKernel
@@ -234,7 +234,7 @@ def _absorbed_engine(problem: AbsorbedChainProblem, config: SimConfig, fvec,
     once the problem passes the structural checks of ``validate_problem``.
     The absorption check is left out: it decomposes the lift, which needs
     scipy, and the simulation needs numpy only."""
-    _raise_violations(problem._structural_violations)
+    _raise_violations(_structural_violations(problem))
     init = problem.initial.to_array(problem.space)
     return _engine(
         _RowSampler(problem.kernel.normalized), init / init.sum(), ~problem.alive,

@@ -200,7 +200,7 @@ def random_problem(rng, n_states=None, gamma=None) -> AbsorbedChainProblem:
         )
         if validate_problem(problem):
             continue
-        lifted = lift_chain(problem)
+        lifted = lift_chain(problem, validate=False)
         Q = lifted.survivor_matrix
         u = np.ones(len(lifted.survivors))
         for _ in range(2 * g + 2):
@@ -356,7 +356,7 @@ def dense_sweep(problem: AbsorbedChainProblem, f: dict[str, float], n_max: int):
     matrix-vector products on the lifted survivor matrix, never rescaled.
     Rows of the returned arrays are indexed by j.
     """
-    lifted = lift_chain(problem)
+    lifted = lift_chain(problem, validate=False)
     Q = lifted.survivor_matrix
     fvec = np.array([f.get(x, 0.0) for x, _ in lifted.survivors])
     us = np.zeros((n_max + 1, Q.shape[0]))
@@ -477,7 +477,7 @@ def conditional_law_brute(problem: AbsorbedChainProblem, n: int) -> dict[str, fl
 
 def survival_probability_exact(problem: AbsorbedChainProblem, n: int) -> float:
     """P(alive at n) from lifted matrix powers, inline."""
-    lifted = lift_chain(problem)
+    lifted = lift_chain(problem, validate=False)
     Q = lifted.survivor_matrix
     u = np.ones(len(lifted.survivors))
     for _ in range(n):
@@ -488,7 +488,7 @@ def survival_probability_exact(problem: AbsorbedChainProblem, n: int) -> float:
 def survival_probability_from_state(
     problem: AbsorbedChainProblem, label: str, phase: int, n: int
 ) -> float:
-    lifted = lift_chain(problem)
+    lifted = lift_chain(problem, validate=False)
     Q = lifted.survivor_matrix
     u = np.ones(len(lifted.survivors))
     for _ in range(n):

@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from qergodic import (
     conditional_law,
     decompose_classes,
     estimate_conditionals,
-    exact_mean_ratio,
     finite_horizon_qlaw,
     lift_chain,
     loads_problem,
@@ -73,6 +73,20 @@ def test_distribution_weights_are_read_only():
         dist.weights["3"] = 0.5
     with pytest.raises(TypeError):
         n3_walk().initial.weights["2"] = 0.0
+
+
+@pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_problem_survives_pickle_and_deepcopy(copy_of):
+    problem = n3_walk()
+    lift_chain(problem)  # fills the cached alive mask and normalised kernel
+    clone = copy_of(problem)
+    assert clone.initial.weights == problem.initial.weights
+    with pytest.raises(TypeError):
+        clone.initial.weights["2"] = 0.0
+    assert validate_problem(clone) == []
+    np.testing.assert_array_equal(clone.alive, problem.alive)
+    np.testing.assert_array_equal(clone.kernel.normalized, problem.kernel.normalized)
 
 
 def test_validate_reports_non_stochastic_row():
@@ -329,29 +343,6 @@ def test_each_call_decomposes_once(entry, decompositions, tmp_path):
     save_problem(problem, spec)
     ENTRY_POINTS[entry](problem, spec)
     assert len(decompositions) == 1
-
-
-def test_one_problem_is_validated_and_decomposed_once(decompositions):
-    problem = n3_walk()
-    assert validate_problem(problem) == []
-    for entry, run in ENTRY_POINTS.items():
-        if not entry.startswith("cli_"):  # the CLI loads a problem of its own
-            run(problem, None)
-    exact_mean_ratio(problem, F, 10)
-    assert len(decompositions) == 1
-    assert lift_chain(problem) is lift_chain(problem)
-    assert lift_chain(dataclasses.replace(problem)) is not lift_chain(problem)
-
-    never_absorbed = AbsorbedChainProblem(
-        StateSpace(("a", "b")),
-        TransitionKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-        MovingBoundary(1, (frozenset(),)),
-        Distribution.point_mass("a"),
-    )
-    for _ in range(2):
-        with pytest.raises(ValidationError, match="absorption is not almost sure"):
-            lift_chain(never_absorbed)
-    assert len(decompositions) == 3  # the copy's lift and never_absorbed's, once each
 
 
 @pytest.mark.parametrize(
