@@ -13,16 +13,22 @@ no surviving trajectories, non-convergence).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .chain import Distribution, lift_chain, load_problem, save_problem, validate_problem
-from .conditioning import qld_cycle, write_conditional_laws_csv, write_mean_ratio_csv
+from .conditioning import (
+    _write_table,
+    qld_cycle,
+    write_conditional_laws_csv,
+    write_mean_ratio_csv,
+)
 from .errors import (
     ConvergenceError,
     Hypothesis1Error,
@@ -252,11 +258,12 @@ def cmd_simulate(args) -> int:
     p_hat, se = _survival_estimate(counts, config.trajectories)
     # counts never grow and the horizon has survivors, so no row divides by 0
     laws = law_counts / counts[:, None]
-    rows = zip(counts.tolist(), p_hat.tolist(), se.tolist(), laws.tolist())
-    with open(curve_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "survivors", "p_survival", "se_survival", *estimates.labels])
-        writer.writerows([n, c, p, s, *law] for n, (c, p, s, law) in enumerate(rows))
+    _write_table(
+        curve_csv,
+        ["n", "survivors", "p_survival", "se_survival", *estimates.labels],
+        [range(counts.size), counts],
+        np.column_stack([p_hat, se, laws]),
+    )
     report = {
         "meta": _meta(args, "simulate"),
         "trajectories": config.trajectories,

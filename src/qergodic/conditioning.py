@@ -510,25 +510,47 @@ def qsd_fixed_point_search(
 # ---------------------------------------------------------------------------
 
 
+def _write_table(path, header, index, values: np.ndarray) -> None:
+    """Write a CSV table byte for byte as ``csv.writer`` writes it.
+
+    Each row holds the integer columns ``index`` (one sequence per column)
+    and then one row of the float block ``values``; every row ends in
+    ``\r\n``.  A float cell is its ``repr``, as in the csv module, formatted
+    once per distinct bit pattern, so -0.0 stays apart from 0.0.  Neither
+    an integer nor a float repr needs quoting; the header does go through
+    ``csv.writer``, which quotes labels as needed.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    table = np.empty((values.shape[0], len(index) + values.shape[1]), dtype=object)
+    for j, column in enumerate(index):
+        table[:, j] = list(map(str, np.asarray(column).tolist()))
+    table[:, len(index):] = text[inverse.reshape(values.shape)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write("".join(",".join(row) + "\r\n" for row in table.tolist()))
+
+
 def write_mean_ratio_csv(problem: AbsorbedChainProblem, f, n_max: int, path) -> np.ndarray:
     """Exact conditioned time-averages for horizons 1..n_max, one row each.
 
-    Returns the curve it wrote, entry ``n - 1`` for horizon ``n``.
+    Columns ``n, mean_ratio``; the table is written as ``_write_table``
+    writes it.  Returns the curve it wrote, entry ``n - 1`` for horizon
+    ``n``.
     """
     values = mean_ratio_curve(problem, f, range(1, n_max + 1))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "mean_ratio"])
-        writer.writerows(enumerate(values.tolist(), start=1))
+    _write_table(path, ["n", "mean_ratio"], [range(1, n_max + 1)], values[:, None])
     return values
 
 
 def write_conditional_laws_csv(problem: AbsorbedChainProblem, n_max: int, path):
-    """Conditioned laws for times 0..n_max, one column per state."""
-    laws = _law_vectors(problem, n_max)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", *problem.space.labels])
-        # csv writes a float as its repr; adding 0.0 turns a -0.0 weight of
-        # the initial law into the 0.0 that conditional_law_sequence reports
-        writer.writerows([n, *(vec + 0.0).tolist()] for n, vec in enumerate(laws))
+    """Conditioned laws for times 0..n_max, one column per state.
+
+    The table is written as ``_write_table`` writes it, so each weight
+    reads back as the exact float ``conditional_law_sequence`` reports.
+    """
+    laws = np.array(_law_vectors(problem, n_max))
+    # a float cell is its repr; adding 0.0 turns a -0.0 weight of the
+    # initial law into the 0.0 that conditional_law_sequence reports
+    _write_table(path, ["n", *problem.space.labels], [range(n_max + 1)], laws + 0.0)

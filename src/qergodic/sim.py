@@ -185,23 +185,27 @@ class ConditionalEstimates:
 
 
 def _engine(sampler: _RowSampler, initial: np.ndarray, killed: np.ndarray,
-            config: SimConfig, fvec, record_paths: bool):
+            config: SimConfig, fvec, record: str | None):
     """Step every trajectory of ``config``: step 0 draws from the law
     ``initial`` and each later step from ``sampler``; a trajectory dies at
-    step t on a state that ``killed[t % len(killed)]`` marks."""
+    step t on a state that ``killed[t % len(killed)]`` marks.
+
+    Returns ``(tau, fsum, survivor_counts, kept)``: ``kept`` is what
+    ``record`` names, the ``"paths"`` (trajectory by step, -1 once
+    absorbed), the ``"laws"`` (survivors per step and state), or None.
+    """
     n_states = initial.size
     initial_sampler = _RowSampler(initial[None, :])
 
     n_traj, horizon = config.trajectories, config.horizon
     tau = np.full(n_traj, -1, dtype=np.int64)
     fsum = np.zeros(n_traj) if fvec is not None else None
-    paths = (
-        np.full((n_traj, horizon + 1), -1, dtype=_path_dtype(n_states))
-        if record_paths
-        else None
-    )
+    kept = None
+    if record == "paths":
+        kept = np.full((n_traj, horizon + 1), -1, dtype=_path_dtype(n_states))
+    elif record == "laws":
+        kept = np.zeros((horizon + 1, n_states), dtype=np.int64)
     survivor_counts = np.zeros(horizon + 1, dtype=np.int64)
-    law_counts = np.zeros((horizon + 1, n_states), dtype=np.int64)
 
     for lo, hi in config.shard_ranges():
         alive_idx = np.arange(lo, hi, dtype=np.int64)
@@ -214,8 +218,8 @@ def _engine(sampler: _RowSampler, initial: np.ndarray, killed: np.ndarray,
                 fsum[alive_idx] += fvec[states]
             u = _uniforms(config.seed, keys, t)
             states = (sampler if t else initial_sampler).draw(states, u)
-            if record_paths:
-                paths[alive_idx, t] = states
+            if record == "paths":
+                kept[alive_idx, t] = states
             dead_now = killed[t % len(killed)][states]
             if dead_now.any():
                 tau[alive_idx[dead_now]] = t
@@ -223,13 +227,14 @@ def _engine(sampler: _RowSampler, initial: np.ndarray, killed: np.ndarray,
                 keys = keys[~dead_now]
                 states = states[~dead_now]
             survivor_counts[t] += alive_idx.size
-            law_counts[t] += np.bincount(states, minlength=n_states)
+            if record == "laws":
+                kept[t] += np.bincount(states, minlength=n_states)
 
-    return tau, fsum, paths, survivor_counts, law_counts
+    return tau, fsum, survivor_counts, kept
 
 
 def _absorbed_engine(problem: AbsorbedChainProblem, config: SimConfig, fvec,
-                     record_paths: bool):
+                     record: str | None):
     """``_engine`` on the problem's kernel, initial law and killing sets,
     once the problem passes the structural checks of ``validate_problem``.
     The absorption check is left out: it decomposes the lift, which needs
@@ -238,7 +243,7 @@ def _absorbed_engine(problem: AbsorbedChainProblem, config: SimConfig, fvec,
     init = problem.initial.to_array(problem.space)
     return _engine(
         _RowSampler(problem.kernel.normalized), init / init.sum(), ~problem.alive,
-        config, fvec, record_paths,
+        config, fvec, record,
     )
 
 
@@ -248,7 +253,7 @@ def simulate_paths(problem: AbsorbedChainProblem, config: SimConfig) -> SimBatch
     Paths record the visited state indices; entries after the absorption
     time are -1 (the absorbing state itself is recorded at time tau).
     """
-    tau, _, paths, _, _ = _absorbed_engine(problem, config, None, record_paths=True)
+    tau, _, _, paths = _absorbed_engine(problem, config, None, record="paths")
     return SimBatch(labels=problem.space.labels, paths=paths, tau=tau)
 
 
@@ -264,8 +269,8 @@ def estimate_conditionals(
     if config.horizon < 1:
         raise ValidationError("horizon must be at least 1 for conditional estimates")
     fvec = state_function(problem, f)
-    tau, fsum, _, survivor_counts, law_counts = _absorbed_engine(
-        problem, config, fvec, record_paths=False
+    tau, fsum, survivor_counts, law_counts = _absorbed_engine(
+        problem, config, fvec, record="laws"
     )
     alive = tau < 0
     n_surv = int(alive.sum())
@@ -307,7 +312,7 @@ def survival_curve(
     problem: AbsorbedChainProblem, config: SimConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical survival probabilities per step with binomial errors."""
-    _, _, _, survivor_counts, _ = _absorbed_engine(problem, config, None, False)
+    _, _, survivor_counts, _ = _absorbed_engine(problem, config, None, record=None)
     return _survival_estimate(survivor_counts, config.trajectories)
 
 
@@ -335,8 +340,8 @@ def simulate_qprocess(
         matrix[offset[prev]:offset[prev + 1], offset[k]:offset[k + 1]] = sl.matrix[order]
     initial = np.zeros(n)
     initial[slices[0].col_states.index(x)] = 1.0
-    _, _, positions, _, _ = _engine(
+    _, _, _, positions = _engine(
         _RowSampler(matrix), initial, np.zeros((1, n), dtype=bool),
-        SimConfig(seed, paths, steps), None, record_paths=True,
+        SimConfig(seed, paths, steps), None, record="paths",
     )
     return labels[positions].tolist()

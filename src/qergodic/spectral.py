@@ -187,7 +187,10 @@ def _noda(A: np.ndarray) -> tuple[np.ndarray, float, float]:
     n = A.shape[0]
     x = np.full(n, 1.0 / n)
     best = (x, -np.inf, np.inf)
-    for _ in range(_NODA_MAX_STEPS):
+    for solves in range(_NODA_MAX_STEPS + 1):
+        # an entry that under- or overflowed makes Ax/x 0/0: stop before it
+        if solves == _NODA_MAX_STEPS or not (x.all() and np.isfinite(x).all()):
+            break
         B = A * x / x[:, None]
         ratio = B.sum(axis=1)
         lo, hi = float(ratio.min()), float(ratio.max())
@@ -206,7 +209,7 @@ def _noda(A: np.ndarray) -> tuple[np.ndarray, float, float]:
     if not hi - lo <= _BRACKET_RTOL * hi:
         raise ConvergenceError(
             f"Noda iteration left the Perron bracket [{lo:.17g}, {hi:.17g}] "
-            f"wider than {_BRACKET_RTOL:g} relative after {_NODA_MAX_STEPS} solves",
+            f"wider than {_BRACKET_RTOL:g} relative after {solves} solves",
             residual=(hi - lo) / hi,
         )
     return x, lo, hi

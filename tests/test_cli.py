@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qergodic import load_problem, moving_walk, save_problem
+from qergodic import load_problem, moving_walk, problem_to_dict, save_problem
 from qergodic.cli import main
 from _chains import chained_tie, n3_walk, two_copies_tied
 
@@ -346,3 +348,47 @@ def test_import_and_monte_carlo_load_no_scipy(tmp_path):
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]", code
+
+
+# labels that the csv module quotes: a comma, a quote, a newline; a space
+# is left bare
+QUOTED_LABELS = {"2": 'q"2', "3": "mid, 3", "4": "sp 4", "5": "nl\n5"}
+
+
+def _rerendered(path, int_columns: int) -> bytes:
+    """The table at ``path`` parsed to numbers and written by csv.writer."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(
+        [*map(int, row[:int_columns]), *map(float, row[int_columns:])] for row in rows
+    )
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("names", [{}, QUOTED_LABELS], ids=["plain", "quoted"])
+def test_cli_tables_are_the_bytes_csv_writer_writes(names, tmp_path):
+    spec = problem_to_dict(n3_walk(0.5, start="3"))
+    name = lambda x: names.get(x, x)
+    spec = {
+        "states": [name(x) for x in spec["states"]],
+        "kernel": spec["kernel"],
+        "gamma": spec["gamma"],
+        "killing_sets": [[name(x) for x in s] for s in spec["killing_sets"]],
+        "initial": {name(x): w for x, w in spec["initial"].items()},
+    }
+    spec_path, f_path = tmp_path / "walk.json", tmp_path / "f.json"
+    spec_path.write_text(json.dumps(spec))
+    f_path.write_text(json.dumps({name("3"): 1.0, name("2"): 0.25}))
+    assert main(["simulate", "--in", str(spec_path), "--f", str(f_path), "--seed", "3",
+                 "--paths", "4000", "--horizon", "30", "--out", str(tmp_path / "sim.json")]) == 0
+    assert main(["oracle", "--in", str(spec_path), "--f", str(f_path), "--n", "60",
+                 "--out", str(tmp_path / "oracle.json")]) == 0
+    for table, int_columns in [("sim_estimates.csv", 2), ("oracle_mean_ratio.csv", 1),
+                               ("oracle_conditional_laws.csv", 1)]:
+        written = (tmp_path / table).read_bytes()
+        assert written == _rerendered(tmp_path / table, int_columns), table
+    with open(tmp_path / "oracle_conditional_laws.csv", newline="", encoding="utf-8") as fh:
+        assert next(csv.reader(fh)) == ["n", *spec["states"]]

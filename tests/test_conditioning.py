@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -681,6 +683,45 @@ def test_csv_emitters(tmp_path):
     law_lines = laws_csv.read_text().strip().splitlines()
     assert law_lines[0].split(",") == ["n", *problem.space.labels]
     assert len(law_lines) == 10
+
+
+# repeats, both zeros, NaNs with two bit patterns, both infinities, two
+# subnormals, repr's switch points to exponent form and a float whose repr
+# is long
+WRITER_FLOATS = [
+    0.0, -0.0, float("nan"), np.int64(0x7FF8000000000001).view(np.float64).item(),
+    float("inf"), float("-inf"), 5e-324, 2.5e-310, 1e16, 9999999999999998.0,
+    1e-5, 0.0001, 0.1 + 0.2, 1.0, -2.5,
+]
+
+
+@st.composite
+def writer_tables(draw):
+    pool = draw(st.lists(st.sampled_from(WRITER_FLOATS) | st.floats(), min_size=1, max_size=6))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    values = np.array(picks, dtype=np.float64).reshape(rows, cols)
+    counts = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=rows, max_size=rows))
+    index = draw(st.sampled_from([[range(rows)], [range(rows), np.array(counts, dtype=np.int64)]]))
+    label = st.text(st.sampled_from('ab ,"\n\r;'), max_size=5)
+    header = draw(st.lists(label, min_size=len(index) + cols, max_size=len(index) + cols))
+    return header, index, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(writer_tables())
+def test_table_writer_writes_the_bytes_of_csv_writer(tmp_path_factory, table):
+    header, index, values = table
+    folder = tmp_path_factory.getbasetemp()
+    conditioning._write_table(folder / "got.csv", header, index, values)
+    with open(folder / "want.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [*(int(column[i]) for column in index), *row]
+            for i, row in enumerate(values.tolist())
+        )
+    assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
 
 
 SIGNED_ZERO_START = AbsorbedChainProblem(

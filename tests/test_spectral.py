@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qergodic import (
     AbsorbedChainProblem,
+    ConvergenceError,
     TransitionKernel,
     ValidationError,
     build_qprocess_dominant,
@@ -441,3 +442,10 @@ def test_perron_solve_takes_few_dense_solves(monkeypatch):
     lo, hi = cls.rho_bracket
     assert hi - lo <= 1e-10 * cls.rho
     assert cls.rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(P))), rel=1e-12)
+
+
+def test_underflowing_perron_iterate_raises_convergence_error():
+    # nu and xi span about 333 decades here: the Noda iterate underflows to
+    # 0, and the iteration stops before it divides 0 by 0
+    with pytest.raises(ConvergenceError, match="Perron bracket"):
+        qed_moving(moving_walk(0.1, 350))
