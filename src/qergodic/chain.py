@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -460,6 +461,24 @@ def _expect(condition: bool, message: str):
         raise ValidationError(message)
 
 
+def _number(value, message: str) -> float:
+    """``value`` as a float under the one rule for numbers read from an
+    input file (kernel cells, initial weights, state-function values): a
+    JSON number, not a bool, in float range.  Any other value raises
+    ``ValidationError(message)``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the largest float
+            pass
+    raise ValidationError(message)
+
+
+def _kernel_cells(i: int, row: list) -> None:
+    for j, v in enumerate(row):
+        _number(v, f"field 'kernel[{i}][{j}]': expected a number")
+
+
 def problem_from_dict(data: Mapping) -> AbsorbedChainProblem:
     """Build a problem from a parsed problem-spec mapping.
 
@@ -488,14 +507,15 @@ def problem_from_dict(data: Mapping) -> AbsorbedChainProblem:
             isinstance(row, list) and len(row) == space.size,
             f"field 'kernel[{i}]': expected {space.size} entries",
         )
-        if set(map(type, row)) <= {int, float}:  # checked in bulk; scan to name a cell
-            continue
-        for j, v in enumerate(row):
-            _expect(
-                isinstance(v, (int, float)) and not isinstance(v, bool),
-                f"field 'kernel[{i}][{j}]': expected a number",
-            )
-    kernel = TransitionKernel(np.array(kernel_rows, dtype=float))
+        if not set(map(type, row)) <= {int, float}:  # checked in bulk; scan to name a cell
+            _kernel_cells(i, row)
+    try:
+        matrix = np.array(kernel_rows, dtype=float)
+    except OverflowError:  # an integer cell past float range: name the first
+        for i, row in enumerate(kernel_rows):
+            _kernel_cells(i, row)
+        raise
+    kernel = TransitionKernel(matrix)
 
     gamma = data["gamma"]
     _expect(
@@ -527,14 +547,12 @@ def problem_from_dict(data: Mapping) -> AbsorbedChainProblem:
 
     initial = data["initial"]
     _expect(isinstance(initial, Mapping), "field 'initial': expected an object")
+    weights = {}
     for key, v in initial.items():
         _expect(isinstance(key, str), "field 'initial': keys must be state labels")
         _expect(key in space, f"field 'initial': unknown state {key!r}")
-        _expect(
-            isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"field 'initial[{key!r}]': expected a number",
-        )
-    return AbsorbedChainProblem(space, kernel, boundary, Distribution(dict(initial)))
+        weights[key] = _number(v, f"field 'initial[{key!r}]': expected a number")
+    return AbsorbedChainProblem(space, kernel, boundary, Distribution(weights))
 
 
 def problem_to_dict(problem: AbsorbedChainProblem) -> dict:
@@ -549,20 +567,33 @@ def problem_to_dict(problem: AbsorbedChainProblem) -> dict:
     }
 
 
-def loads_problem(text: str) -> AbsorbedChainProblem:
+def _parse_json(source: str | bytes, where: str = ""):
+    """The JSON value in ``source``, text or UTF-8 bytes.  Any failure to
+    decode or parse raises ValidationError, whose message adds ``where``
+    after "invalid JSON"."""
     try:
-        data = json.loads(text)
+        return json.loads(source if isinstance(source, str) else source.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"invalid JSON{where} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    return problem_from_dict(data)
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, nested too deep, or an integer longer than int() converts
+        raise ValidationError(f"invalid JSON{where}: {exc}") from None
+
+
+def _read_json(path):
+    """The JSON value in the input file at ``path``: the one reader of
+    problem specs and state-function files."""
+    return _parse_json(Path(path).read_bytes(), f" in {path}")
+
+
+def loads_problem(text: str) -> AbsorbedChainProblem:
+    return problem_from_dict(_parse_json(text))
 
 
 def load_problem(path) -> AbsorbedChainProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return loads_problem(text)
+    return problem_from_dict(_read_json(path))
 
 
 def save_problem(problem: AbsorbedChainProblem, path):

@@ -1,10 +1,14 @@
 """Command-line entry point.
 
-One subcommand per analysis; every run emits a JSON report (stdout or
---out) embedding the input digest, the seed and the tool version, plus
-CSV tables next to the report where a table is the natural output.
+One subcommand per analysis.  Every command that reads a problem spec
+takes one path: the spec is loaded once, the command builds the body of
+its report, and the report, stamped under ``meta`` with the input
+digest, the seed and the tool version, is written as strict JSON to
+stdout or --out.  CSV tables are written next to the report where a
+table is the natural output.
 
-Exit codes: 0 success, 1 malformed input, usage error or a reader that
+Exit codes: 0 success, 1 malformed input (including a report that lists
+violations and any OSError on a file), usage error or a reader that
 closed the output early (quietly, as Python itself exits on EPIPE), 2
 analysis diagnostics (ambiguous dominant class, null conditioning event,
 no surviving trajectories, non-convergence).
@@ -22,7 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import Distribution, lift_chain, load_problem, save_problem, validate_problem
+from .chain import (
+    Distribution,
+    _number,
+    _read_json,
+    lift_chain,
+    load_problem,
+    problem_to_dict,
+    save_problem,
+    validate_problem,
+)
 from .conditioning import (
     _write_table,
     qld_cycle,
@@ -54,74 +67,47 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_MALFORMED)
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _meta(args, command: str) -> dict:
-    meta = {"command": command, "version": __version__}
-    if getattr(args, "input", None):
-        meta["input_sha256"] = _sha256(args.input)
-    if getattr(args, "seed", None) is not None:
-        meta["seed"] = args.seed
-    return meta
-
-
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, default=float)
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+def _write_report(report: dict, out) -> None:
+    """Write ``report`` as strict JSON, with no NaN or infinity, to the
+    file ``out``, or to stdout when ``out`` is None."""
+    text = json.dumps(report, indent=2, default=float, allow_nan=False)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
 
 
 def _out_sibling(args, suffix: str) -> Path:
-    if getattr(args, "out", None):
+    if args.out:
         base = Path(args.out)
         return base.with_name(base.stem + suffix)
     return Path(suffix.lstrip("_"))
 
 
-def _load_f(args, problem):
-    if getattr(args, "f", None) is None:
+def _load_f(path) -> dict[str, float] | None:
+    """The ``--f`` file, a JSON object mapping state labels to numbers, or
+    None when no file is given."""
+    if path is None:
         return None
-    try:
-        data = json.loads(Path(args.f).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"invalid JSON in {args.f} at line {exc.lineno}: {exc.msg}"
-        ) from None
+    data = _read_json(path)
     if not isinstance(data, dict):
-        raise ValidationError(f"{args.f}: expected an object mapping state to value")
-    values = {}
-    for k, v in data.items():
-        try:
-            values[str(k)] = float(v)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"{args.f}: value for state {k!r} is not a number: {v!r}"
-            ) from None
-    return values
+        raise ValidationError(f"{path}: expected an object mapping state to value")
+    return {
+        k: _number(v, f"{path}: value for state {k!r} is not a number: {v!r}")
+        for k, v in data.items()
+    }
 
 
 def _dist_dict(dist: Distribution) -> dict:
     return {k: v for k, v in sorted(dist.weights.items()) if v != 0.0}
 
 
-def cmd_validate(args) -> int:
-    problem = load_problem(args.input)
+def cmd_validate(problem, args) -> dict:
     violations = validate_problem(problem)
-    report = {
-        "meta": _meta(args, "validate"),
-        "valid": not violations,
-        "violations": violations,
-    }
-    _emit(report, args)
-    return EXIT_OK if not violations else EXIT_MALFORMED
+    return {"valid": not violations, "violations": violations}
 
 
-def cmd_analyze(args) -> int:
-    problem = load_problem(args.input)
+def cmd_analyze(problem, args) -> dict:
     lifted = lift_chain(problem)
     decomposition = lifted.decomposition
     classes = []
@@ -147,25 +133,19 @@ def cmd_analyze(args) -> int:
                 },
             }
         )
-    report = {
-        "meta": _meta(args, "analyze"),
+    return {
         "gamma": problem.gamma,
         "lifted_states": problem.space.size * problem.gamma,
         "lifted_survivors": len(lifted.survivors),
         "spectral_radius": max((c.rho for c in decomposition.classes), default=0.0),
         "classes": classes,
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_qed(args) -> int:
-    problem = load_problem(args.input)
-    f = _load_f(args, problem)
-    result = qed_moving(problem, f)
+def cmd_qed(problem, args) -> dict:
+    result = qed_moving(problem, _load_f(args.f))
     selected = result.selection.selected(result.decomposition)
-    report = {
-        "meta": _meta(args, "qed"),
+    return {
         "selected_class": [
             list(result.lifted.survivors[s]) for s in selected.states
         ],
@@ -174,15 +154,11 @@ def cmd_qed(args) -> int:
         "phi_of_f": result.phi,
         "warnings": list(result.selection.warnings),
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_qld_cycle(args) -> int:
-    problem = load_problem(args.input)
+def cmd_qld_cycle(problem, args) -> dict:
     cycle = qld_cycle(problem)
-    report = {
-        "meta": _meta(args, "qld-cycle"),
+    return {
         "period": cycle.period,
         "iterations": cycle.iterations,
         "cycle": [_dist_dict(d) for d in cycle.distributions],
@@ -191,16 +167,12 @@ def cmd_qld_cycle(args) -> int:
         "qld_exists": cycle.qld_exists,
         "verdict": cycle.verdict,
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_qprocess(args) -> int:
-    problem = load_problem(args.input)
+def cmd_qprocess(problem, args) -> dict:
     kernel = build_qprocess_dominant(problem)
     phases = range(kernel.gamma) if args.phase is None else [args.phase % kernel.gamma]
-    report = {
-        "meta": _meta(args, "qprocess"),
+    return {
         "gamma": kernel.gamma,
         "rho": kernel.rho,
         "row_sum_deviation": kernel.row_sum_deviation,
@@ -214,45 +186,35 @@ def cmd_qprocess(args) -> int:
             for n in phases
         ],
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(problem, args) -> dict:
     if args.n < 1:
         raise ValidationError(f"--n must be a positive horizon, got {args.n}")
-    problem = load_problem(args.input)
-    f = _load_f(args, problem)
-    if f is None:
+    if args.f is None:
         raise ValidationError("the oracle needs a state functional: pass --f")
     ratio_csv = _out_sibling(args, "_mean_ratio.csv")
     law_csv = _out_sibling(args, "_conditional_laws.csv")
     # the report's value is the CSV's last row, from the same sweep
-    value = float(write_mean_ratio_csv(problem, f, args.n, ratio_csv)[-1])
+    value = float(write_mean_ratio_csv(problem, _load_f(args.f), args.n, ratio_csv)[-1])
     write_conditional_laws_csv(problem, min(args.n, 500), law_csv)
-    report = {
-        "meta": _meta(args, "oracle"),
+    return {
         "n": args.n,
         "mean_ratio": value,
         "mean_ratio_csv": str(ratio_csv),
         "conditional_laws_csv": str(law_csv),
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    problem = load_problem(args.input)
-    f = _load_f(args, problem)
-    if f is None:
-        f = {x: 0.0 for x in problem.space.labels}
+def cmd_simulate(problem, args) -> dict:
     config = SimConfig(
         seed=args.seed,
         trajectories=args.paths,
         horizon=args.horizon,
         shards=args.shards,
     )
-    estimates = estimate_conditionals(problem, f, config)
+    # without --f, f reads 0 on every state
+    estimates = estimate_conditionals(problem, _load_f(args.f) or {}, config)
     curve_csv = _out_sibling(args, "_estimates.csv")
     counts, law_counts = estimates.survivor_counts, estimates.law_counts
     p_hat, se = _survival_estimate(counts, config.trajectories)
@@ -264,20 +226,19 @@ def cmd_simulate(args) -> int:
         [range(counts.size), counts],
         np.column_stack([p_hat, se, laws]),
     )
-    report = {
-        "meta": _meta(args, "simulate"),
+    ratio = estimates.mean_ratio
+    return {
         "trajectories": config.trajectories,
         "horizon": config.horizon,
         "shards": config.shards,
-        "survivors": estimates.mean_ratio.survivors,
-        "low_sample": estimates.mean_ratio.low_sample,
-        "mean_ratio": estimates.mean_ratio.value,
-        "mean_ratio_se": estimates.mean_ratio.standard_error,
+        "survivors": ratio.survivors,
+        "low_sample": ratio.low_sample,
+        "mean_ratio": ratio.value,
+        # one survivor has no spread, so no finite error: null, not Infinity
+        "mean_ratio_se": ratio.standard_error if ratio.survivors > 1 else None,
         "conditional_law": _dist_dict(estimates.law),
         "estimates_csv": str(curve_csv),
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
 def cmd_randomwalk(args) -> int:
@@ -295,11 +256,9 @@ def cmd_randomwalk(args) -> int:
             "states": len(problem.space.labels),
             "gamma": problem.gamma,
         }
-        _emit(report, argparse.Namespace(out=None))
     else:
-        from .chain import problem_to_dict
-
-        print(json.dumps(problem_to_dict(problem), indent=2))
+        report = problem_to_dict(problem)
+    _write_report(report, None)
     return EXIT_OK
 
 
@@ -308,47 +267,31 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def spec_command(name, report, help):
+        """A subcommand that reads a spec: it runs the one path, ``_run``,
+        with ``report`` building the body of its report."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--in", dest="input", required=True, help="problem-spec JSON")
-        if out:
-            p.add_argument("--out", help="write the JSON report here")
+        p.add_argument("--out", help="write the JSON report here")
+        p.set_defaults(func=_run, report=report)
+        return p
 
-    p = sub.add_parser("validate", help="check a problem spec against all invariants")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("analyze", help="spectral report of the lifted chain")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("qed", help="mean-ratio distribution and limit value")
-    common(p)
+    spec_command("validate", cmd_validate, "check a problem spec against all invariants")
+    spec_command("analyze", cmd_analyze, "spectral report of the lifted chain")
+    p = spec_command("qed", cmd_qed, "mean-ratio distribution and limit value")
     p.add_argument("--f", help="JSON file mapping state label to value")
-    p.set_defaults(func=cmd_qed)
-
-    p = sub.add_parser("qld-cycle", help="limit cycle of the conditioned laws")
-    common(p)
-    p.set_defaults(func=cmd_qld_cycle)
-
-    p = sub.add_parser("qprocess", help="kernel of the chain conditioned to survive")
-    common(p)
+    spec_command("qld-cycle", cmd_qld_cycle, "limit cycle of the conditioned laws")
+    p = spec_command("qprocess", cmd_qprocess, "kernel of the chain conditioned to survive")
     p.add_argument("--phase", type=int, help="emit a single phase slice")
-    p.set_defaults(func=cmd_qprocess)
-
-    p = sub.add_parser("oracle", help="exact conditioned time averages")
-    common(p)
+    p = spec_command("oracle", cmd_oracle, "exact conditioned time averages")
     p.add_argument("--f", help="JSON file mapping state label to value")
     p.add_argument("--n", type=int, required=True, help="horizon")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("simulate", help="Monte Carlo estimates with errors")
-    common(p)
+    p = spec_command("simulate", cmd_simulate, "Monte Carlo estimates with errors")
     p.add_argument("--f", help="JSON file mapping state label to value")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--shards", type=int, default=1)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("randomwalk", help="emit a nearest-neighbour walk problem")
     p.add_argument("--p", type=float, required=True, help="down-step probability")
@@ -360,6 +303,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _run(args) -> int:
+    """The one path of every command that reads a spec: load it, build the
+    report body, stamp ``meta`` and write the report.  A body that lists
+    violations exits 1."""
+    body = args.report(load_problem(args.input), args)
+    meta = {
+        "command": args.command,
+        "version": __version__,
+        "input_sha256": hashlib.sha256(Path(args.input).read_bytes()).hexdigest(),
+    }
+    if getattr(args, "seed", None) is not None:
+        meta["seed"] = args.seed
+    _write_report({"meta": meta, **body}, args.out)
+    return EXIT_MALFORMED if body.get("violations") else EXIT_OK
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -367,7 +326,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except (Hypothesis1Error, NullEventError, NoSurvivorsError, ConvergenceError) as exc:
+            print(f"diagnostic: {exc}", file=sys.stderr)
+            if args.out:
+                _write_report({"error": type(exc).__name__, "detail": str(exc)}, args.out)
+            code = EXIT_DIAGNOSTIC
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -376,15 +341,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_MALFORMED
-    except (ValidationError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (Hypothesis1Error, NullEventError, NoSurvivorsError, ConvergenceError) as exc:
-        print(f"diagnostic: {exc}", file=sys.stderr)
-        report = {"error": type(exc).__name__, "detail": str(exc)}
-        if getattr(args, "out", None):
-            Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-        return EXIT_DIAGNOSTIC
 
 
 if __name__ == "__main__":

@@ -52,21 +52,29 @@ def state_function(problem: AbsorbedChainProblem, f) -> np.ndarray:
     """Coerce a state functional to a vector over the state space.
 
     Accepts a mapping label -> value (missing labels read 0), a callable
-    on labels, or an array in state-space order.
+    on labels, or an array in state-space order.  A value that is not
+    finite raises ValidationError naming the first such state.
     """
     labels = problem.space.labels
     if callable(f):
-        return np.array([float(f(x)) for x in labels])
-    if isinstance(f, dict):
+        arr = np.array([float(f(x)) for x in labels])
+    elif isinstance(f, dict):
         unknown = sorted(k for k in f if k not in problem.space)
         if unknown:
             raise ValidationError(f"state function names unknown states {unknown}")
-        return np.array([float(f.get(x, 0.0)) for x in labels])
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != (len(labels),):
+        arr = np.array([float(f.get(x, 0.0)) for x in labels])
+    else:
+        arr = np.asarray(f, dtype=float)
+        if arr.shape != (len(labels),):
+            raise ValidationError(
+                f"state function must have one value per state ({len(labels)}), "
+                f"got shape {arr.shape}"
+            )
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = bad[0]
         raise ValidationError(
-            f"state function must have one value per state ({len(labels)}), "
-            f"got shape {arr.shape}"
+            f"state function is not finite at state {labels[i]!r}: {float(arr[i])!r}"
         )
     return arr
 

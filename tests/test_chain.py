@@ -498,6 +498,25 @@ def test_loader_scans_kernel_cells_row_major():
         problem_from_dict(_spec_with_kernel([[1.0], [0.5, "x"]]))
 
 
+@pytest.mark.parametrize(
+    "field, kernel, initial",
+    [
+        ("kernel[1][0]", [[0.5, 0.5], [10**400, 1.0]], {"a": 1.0}),
+        ("kernel[0][1]", [[0.5, -(10**309)], [0.0, 1.0]], {"a": 1.0}),
+        ("initial['a']", [[0.5, 0.5], [0.0, 1.0]], {"a": 10**400}),
+    ],
+)
+def test_loader_rejects_numbers_past_float_range(field, kernel, initial):
+    spec = {**_spec_with_kernel(kernel), "initial": initial}
+    expected = f"field '{field}': expected a number"
+    with pytest.raises(ValidationError) as info:
+        problem_from_dict(spec)
+    assert str(info.value) == expected
+    with pytest.raises(ValidationError) as info:
+        loads_problem(json.dumps(spec))
+    assert str(info.value) == expected
+
+
 def test_loader_accepts_int_and_numpy_float_cells():
     ints = problem_from_dict(_spec_with_kernel([[0, 1], [0, 1]]))
     np.testing.assert_array_equal(ints.kernel.matrix, [[0.0, 1.0], [0.0, 1.0]])

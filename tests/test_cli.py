@@ -14,6 +14,13 @@ from qergodic.cli import main
 from _chains import chained_tie, n3_walk, two_copies_tied
 
 
+def _strict(text: str):
+    """Parse a report as strict JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} in a report")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture()
 def walk_file(tmp_path):
     path = tmp_path / "walk.json"
@@ -42,7 +49,7 @@ def test_randomwalk_generates_loadable_problem(tmp_path):
 def test_validate_ok_and_report(walk_file, tmp_path, capsys):
     code = main(["validate", "--in", str(walk_file)])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _strict(capsys.readouterr().out)
     assert report["valid"] is True
     assert report["meta"]["command"] == "validate"
     assert "input_sha256" in report["meta"]
@@ -60,7 +67,7 @@ def test_validate_rejects_bad_kernel(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code = main(["validate", "--in", str(path)])
     assert code == 1
-    report = json.loads(capsys.readouterr().out)
+    report = _strict(capsys.readouterr().out)
     assert any("not stochastic" in v for v in report["violations"])
 
 
@@ -77,7 +84,7 @@ def test_validate_names_a_short_row_with_a_plain_number(tmp_path, capsys):
     path = tmp_path / "short.json"
     path.write_text(json.dumps(SHORT_ROW_SPEC))
     assert main(["validate", "--in", str(path)]) == 1
-    report = json.loads(capsys.readouterr().out)
+    report = _strict(capsys.readouterr().out)
     assert [v for v in report["violations"] if v.startswith("kernel")] == [
         "kernel row not stochastic: row 1 ('a') sums to 0.9"
     ]
@@ -127,7 +134,7 @@ def test_analyze_report_structure(walk_file, tmp_path):
     out = tmp_path / "report.json"
     code = main(["analyze", "--in", str(walk_file), "--out", str(out)])
     assert code == 0
-    report = json.loads(out.read_text())
+    report = _strict(out.read_text())
     assert report["lifted_states"] == 14
     assert report["lifted_survivors"] == 8
     assert len(report["classes"]) == 2
@@ -141,7 +148,7 @@ def test_analyze_report_structure(walk_file, tmp_path):
 def test_qed_report(walk_file, f_file, tmp_path, capsys):
     code = main(["qed", "--in", str(walk_file), "--f", str(f_file)])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _strict(capsys.readouterr().out)
     assert report["phi_of_f"] == pytest.approx(1 / 3, abs=1e-10)
     assert report["eta"]["3"] == pytest.approx(1 / 3, abs=1e-10)
     assert report["rho_max"] == pytest.approx(
@@ -156,14 +163,14 @@ def test_qed_hypothesis_violation_exits_two(tmp_path, capsys):
     code = main(["qed", "--in", str(path), "--out", str(out)])
     assert code == 2
     assert "diagnostic" in capsys.readouterr().err
-    report = json.loads(out.read_text())
+    report = _strict(out.read_text())
     assert report["error"] == "Hypothesis1Error"
 
 
 def test_qld_cycle_report(walk_file, capsys):
     code = main(["qld-cycle", "--in", str(walk_file)])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _strict(capsys.readouterr().out)
     assert report["period"] == 2
     assert report["qld_exists"] is False
     assert "no quasi-limiting" in report["verdict"]
@@ -177,7 +184,7 @@ def test_qld_cycle_connected_tie_exits_two(tmp_path, capsys):
     code = main(["qld-cycle", "--in", str(path), "--out", str(out)])
     assert code == 2
     assert "diagnostic" in capsys.readouterr().err
-    assert json.loads(out.read_text())["error"] == "Hypothesis1Error"
+    assert _strict(out.read_text())["error"] == "Hypothesis1Error"
 
 
 def test_qld_cycle_has_no_tolerance_flag(walk_file, capsys):
@@ -188,7 +195,7 @@ def test_qld_cycle_has_no_tolerance_flag(walk_file, capsys):
 def test_qprocess_report_and_phase_flag(walk_file, capsys):
     code = main(["qprocess", "--in", str(walk_file)])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _strict(capsys.readouterr().out)
     assert report["gamma"] == 2
     assert len(report["slices"]) == 2
     for sl in report["slices"]:
@@ -196,7 +203,7 @@ def test_qprocess_report_and_phase_flag(walk_file, capsys):
             assert sum(row) == pytest.approx(1.0, abs=1e-10)
     code = main(["qprocess", "--in", str(walk_file), "--phase", "1"])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _strict(capsys.readouterr().out)
     assert len(report["slices"]) == 1
     assert report["slices"][0]["phase"] == 1
 
@@ -208,7 +215,7 @@ def test_oracle_emits_value_and_csvs(walk_file, f_file, tmp_path):
          "--out", str(out)]
     )
     assert code == 0
-    report = json.loads(out.read_text())
+    report = _strict(out.read_text())
     assert report["n"] == 400
     assert report["mean_ratio"] == pytest.approx(1 / 3, abs=5e-3)
     ratio_lines = (tmp_path / "oracle_mean_ratio.csv").read_text().splitlines()
@@ -231,6 +238,69 @@ def test_non_numeric_f_value_exits_one(walk_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _walk_spec(**fields) -> bytes:
+    return json.dumps({**problem_to_dict(n3_walk(0.5, start="3")), **fields}).encode()
+
+
+def _kernel_with_a_cell_past_float_range() -> list:
+    kernel = problem_to_dict(n3_walk(0.5, start="3"))["kernel"]
+    kernel[1][0] = 10**400
+    return kernel
+
+
+_NESTED_TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+# case: (spec file, --f file or None)
+BAD_INPUT_FILES = {
+    "spec-kernel-cell-past-float-range": (
+        _walk_spec(kernel=_kernel_with_a_cell_past_float_range()), None),
+    "spec-initial-weight-past-float-range": (_walk_spec(initial={"3": 10**400}), None),
+    "spec-not-utf8": (b'{"states": ["\xff"]}', None),
+    "spec-nested-too-deep": (_NESTED_TOO_DEEP, None),
+    "spec-integer-too-long": (b'{"gamma": ' + b"1" * 5000 + b"}", None),
+    "f-not-utf8": (_walk_spec(), b'{"3": 1.0, "\xff": 2.0}'),
+    "f-nested-too-deep": (_walk_spec(), _NESTED_TOO_DEEP),
+    "f-string-and-bool": (_walk_spec(), b'{"3": "nan", "4": true}'),
+    "f-nan": (_walk_spec(), b'{"3": NaN}'),
+    "f-infinite": (_walk_spec(), b'{"3": 1e400}'),
+    "f-past-float-range": (_walk_spec(), b'{"3": 1' + b"0" * 400 + b"}"),
+}
+
+
+@pytest.mark.parametrize(
+    "case", [*BAD_INPUT_FILES, "out-under-a-file", "in-under-a-file", "in-name-too-long"]
+)
+def test_no_input_leaves_a_traceback(case, tmp_path, capsys):
+    spec, f = tmp_path / "spec.json", tmp_path / "f.json"
+    spec_bytes, f_bytes = BAD_INPUT_FILES.get(case, (_walk_spec(), None))
+    spec.write_bytes(spec_bytes)
+    argv = ["qed", "--in", str(spec)]
+    if f_bytes is not None:
+        f.write_bytes(f_bytes)
+        argv += ["--f", str(f)]
+    if case == "out-under-a-file":
+        argv += ["--out", str(spec / "r.json")]
+    elif case == "in-under-a-file":
+        argv[2] = str(spec / "x")
+    elif case == "in-name-too-long":
+        argv[2] = "a" * 5000
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_simulate_writes_a_null_standard_error_for_one_survivor(tmp_path):
+    spec, out = tmp_path / "w.json", tmp_path / "sim.json"
+    assert main(["randomwalk", "--p", "0.45", "--N", "5", "--out", str(spec)]) == 0
+    assert main(["simulate", "--in", str(spec), "--paths", "60", "--horizon", "60",
+                 "--seed", "2", "--out", str(out)]) == 0
+    report = _strict(out.read_text())
+    assert report["survivors"] == 1
+    assert report["mean_ratio_se"] is None
+
+
 def test_oracle_zero_horizon_exits_one(walk_file, f_file, tmp_path, capsys):
     out = tmp_path / "oracle.json"
     code = main(["oracle", "--in", str(walk_file), "--f", str(f_file), "--n", "0",
@@ -248,7 +318,7 @@ def test_simulate_report(walk_file, f_file, tmp_path):
          "--shards", "3", "--out", str(out)]
     )
     assert code == 0
-    report = json.loads(out.read_text())
+    report = _strict(out.read_text())
     assert report["meta"]["seed"] == 7
     assert report["survivors"] > 0
     assert report["mean_ratio_se"] > 0
@@ -260,9 +330,9 @@ def test_oracle_and_qed_agree(walk_file, f_file, tmp_path, capsys):
     out_oracle = tmp_path / "o.json"
     main(["oracle", "--in", str(walk_file), "--f", str(f_file), "--n", "2000",
           "--out", str(out_oracle)])
-    oracle = json.loads(out_oracle.read_text())
+    oracle = _strict(out_oracle.read_text())
     main(["qed", "--in", str(walk_file), "--f", str(f_file)])
-    qed = json.loads(capsys.readouterr().out)
+    qed = _strict(capsys.readouterr().out)
     assert abs(oracle["mean_ratio"] - qed["phi_of_f"]) <= 1e-2
 
 
@@ -308,6 +378,7 @@ def test_simulate_estimates_csv_holds_plain_numbers(walk_file, tmp_path):
          "--horizon", "30", "--out", str(out)]
     )
     assert code == 0
+    _strict(out.read_text())
     lines = (tmp_path / "sim_estimates.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header[:4] == ["n", "survivors", "p_survival", "se_survival"]
@@ -386,6 +457,8 @@ def test_cli_tables_are_the_bytes_csv_writer_writes(names, tmp_path):
                  "--paths", "4000", "--horizon", "30", "--out", str(tmp_path / "sim.json")]) == 0
     assert main(["oracle", "--in", str(spec_path), "--f", str(f_path), "--n", "60",
                  "--out", str(tmp_path / "oracle.json")]) == 0
+    for report in ("sim.json", "oracle.json"):
+        _strict((tmp_path / report).read_text())
     for table, int_columns in [("sim_estimates.csv", 2), ("oracle_mean_ratio.csv", 1),
                                ("oracle_conditional_laws.csv", 1)]:
         written = (tmp_path / table).read_bytes()

@@ -25,6 +25,9 @@ from qergodic import (
     moving_walk,
     moving_walk_qed,
     moving_walk_rho,
+    SimConfig,
+    estimate_conditionals,
+    qed_moving,
     qld_cycle,
     qsd_fixed_point_search,
     write_conditional_laws_csv,
@@ -772,3 +775,23 @@ def test_composition_equals_sequence(seed, n):
     for k in range(1, n + 1):
         stepped = conditional_step(problem, stepped, k % problem.gamma)
     assert stepped.tv_distance(seq[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda problem, f: qed_moving(problem, f),
+        lambda problem, f: mean_ratio_curve(problem, f, [5]),
+        lambda problem, f: estimate_conditionals(problem, f, SimConfig(0, 50, 5)),
+    ],
+    ids=["qed_moving", "mean_ratio_curve", "estimate_conditionals"],
+)
+def test_state_function_that_is_not_finite_is_rejected(entry, value):
+    problem = n3_walk(0.5, start="3")
+    for f in ({"4": value, "2": value}, lambda x: value if x in "24" else 1.0):
+        with pytest.raises(ValidationError) as info:
+            entry(problem, f)
+        assert str(info.value) == (
+            f"state function is not finite at state '2': {float(value)!r}"
+        )
