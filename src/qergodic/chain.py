@@ -295,8 +295,9 @@ class LiftedChain:
     ``kernel.normalized``, and the one form of the lift that the library
     reads; ``initial_vector`` carries the problem's initial
     mass placed at phase 0 (unnormalized); ``decomposition`` is the class
-    decomposition of ``survivor_csr``, shared by validation and every
-    analysis run on this lift.  ``survivor_matrix`` and ``matrix`` are
+    decomposition of ``survivor_csr``, shared by every analysis run on
+    this lift and by validation when the row-sum bound does not settle
+    absorption.  ``survivor_matrix`` and ``matrix`` are
     dense views for inspection, built on each read.
     """
 
@@ -410,13 +411,21 @@ def validate_problem(
 ) -> list[str]:
     """Check every invariant of a problem and report the violations.
 
-    Returns an empty list exactly when the problem is valid.  The checks
-    that need arithmetic on the kernel (almost-sure absorption) run only
-    when the structural checks pass; they read the class decomposition of
-    ``lifted``, the lift of ``problem``, which is created when not given.
+    Returns an empty list exactly when the problem is valid.  Almost-sure
+    absorption is checked only when the structural checks pass.  The
+    largest lifted row sum bounds the spectral radius from above
+    (Collatz-Wielandt at the all-ones vector), so a bound below
+    ``1 - ABSORPTION_RADIUS_TOL`` accepts with numpy alone; otherwise the
+    radius is read from the class decomposition of ``lifted``, the lift of
+    ``problem``, which is created when not given.
     """
     violations = _structural_violations(problem)
     if not violations:
+        alive = problem.alive
+        # column k holds the mass each state keeps alive at phase k + 1
+        kept = problem.kernel.normalized @ np.roll(alive, -1, axis=0).T
+        if kept.T[alive].max() < 1.0 - ABSORPTION_RADIUS_TOL:
+            return violations
         if lifted is None:
             lifted = LiftedChain(problem)
         radius = max((c.rho for c in lifted.decomposition.classes), default=0.0)
@@ -439,7 +448,8 @@ def lift_chain(problem: AbsorbedChainProblem, validate: bool = True) -> LiftedCh
     The lifted kernel moves ``(x, k)`` to ``(y, k+1 mod gamma)`` with the
     original probability ``P(x, y)``; the lifted killing set collects all
     ``(x, k)`` with ``x`` killed at phase ``k`` and no longer moves.
-    Validation decomposes the returned lift, so callers reuse that work.
+    Validation decomposes the returned lift only when the row-sum bound
+    does not prove absorption; callers then reuse that work.
     """
     lifted = LiftedChain(problem)
     if validate:

@@ -38,13 +38,17 @@ def n3_walk(p=0.5, start="3"):
     return moving_walk(p, 3, initial=start)
 
 
-def swap_with_killing():
-    """Two states exchanging deterministically up to a 10% leak to a trap."""
+def swap_with_killing(leak=0.1):
+    """Two states exchanging deterministically up to a leak to a trap.
+
+    The lifted survivor matrix has spectral radius exactly ``1 - leak``,
+    and that is also its largest row sum.
+    """
     labels = ("a", "b", "trap")
     P = np.array(
         [
-            [0.0, 0.9, 0.1],
-            [0.9, 0.0, 0.1],
+            [0.0, 1.0 - leak, leak],
+            [1.0 - leak, 0.0, leak],
             [0.0, 0.0, 1.0],
         ]
     )
@@ -53,6 +57,47 @@ def swap_with_killing():
         TransitionKernel(P),
         MovingBoundary(1, (frozenset({"trap"}),)),
         Distribution.uniform(["a", "b"]),
+    )
+
+
+def leaky_walk(leak=0.01):
+    """``n3_walk`` with every row sending ``leak`` to the state ``'0'``.
+
+    ``'0'`` is killed at both phases, so every lifted row sums to at most
+    ``1 - leak`` and the row sums alone prove absorption; the classes are
+    those of ``n3_walk``.
+    """
+    walk = n3_walk()
+    P = (1.0 - leak) * walk.kernel.matrix
+    P[:, 0] += leak
+    return AbsorbedChainProblem(walk.space, TransitionKernel(P), walk.boundary, walk.initial)
+
+
+def closed_class_chain():
+    """A leaking state feeding a 3-cycle that the moving boundary misses.
+
+    The cycle ``b -> c -> d -> b`` sits at ``b`` at phase 0, ``c`` at
+    phase 1 and ``d`` at phase 2, and each phase kills the other two, so
+    it is a closed class of the lifted chain (spectral radius 1) and
+    absorption is not almost sure.  Read at any phase but the next, the
+    cycle's rows would seem to leak everything.
+    """
+    labels = ("a", "b", "c", "d", "trap")
+    P = np.zeros((5, 5))
+    P[0, 1] = P[0, 4] = 0.5
+    P[1, 2] = P[2, 3] = P[3, 1] = P[4, 4] = 1.0
+    return AbsorbedChainProblem(
+        StateSpace(labels),
+        TransitionKernel(P),
+        MovingBoundary(
+            3,
+            (
+                frozenset({"c", "d", "trap"}),
+                frozenset({"b", "d", "trap"}),
+                frozenset({"b", "c", "trap"}),
+            ),
+        ),
+        Distribution.point_mass("a"),
     )
 
 
@@ -172,6 +217,33 @@ def ladder_chain(S: int) -> AbsorbedChainProblem:
         TransitionKernel(P),
         MovingBoundary(1, (frozenset({labels[sink]}),)),
         Distribution.uniform(labels[:sink]),
+    )
+
+
+def expander_chain(n: int) -> AbsorbedChainProblem:
+    """A random sparse chain on n states, killed at a sink, with period 2.
+
+    States ``s0 .. s{n-1}`` and the sink ``s{n}``; gamma = 2.  Each
+    non-sink state i sends 0.97 evenly to 3 distinct other non-sink
+    states, drawn for i = 0, 1, ... from one ``default_rng(0)``, and 0.03
+    to the sink.  The sink is killed at both phases and ``s0`` also at
+    phase 1.  The start is uniform on the non-sink states.  Its random
+    pattern makes a sparse LU of a class fill in, unlike the banded walks
+    and the ladder.
+    """
+    rng = np.random.default_rng(0)
+    labels = tuple(f"s{i}" for i in range(n + 1))
+    P = np.zeros((n + 1, n + 1))
+    for i in range(n):
+        P[i, rng.choice(np.delete(np.arange(n), i), 3, replace=False)] = 0.97 / 3
+        P[i, n] = 0.03
+    P[n, n] = 1.0
+    sink = frozenset({labels[n]})
+    return AbsorbedChainProblem(
+        StateSpace(labels),
+        TransitionKernel(P),
+        MovingBoundary(2, (sink, sink | {labels[0]})),
+        Distribution.uniform(labels[:n]),
     )
 
 

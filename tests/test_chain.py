@@ -31,11 +31,23 @@ from qergodic import (
     qed_moving,
     qld_cycle,
     save_problem,
+    spectral_radius,
     validate_problem,
 )
+from qergodic.chain import ABSORPTION_RADIUS_TOL
 from qergodic import chain, cli, conditioning, qed, qprocess, spectral
 from qergodic.cli import main
-from _chains import lift_by_phase, n3_walk, random_problem, survivor_restriction
+from _chains import (
+    closed_class_chain,
+    expander_chain,
+    ladder_chain,
+    leaky_walk,
+    lift_by_phase,
+    n3_walk,
+    random_problem,
+    survivor_restriction,
+    swap_with_killing,
+)
 
 
 @pytest.fixture()
@@ -191,6 +203,97 @@ def test_validate_reports_no_absorption():
     assert any("absorption" in v for v in validate_problem(prob))
 
 
+def _no_absorption(problem) -> str:
+    """The violation that validation reports for ``problem``, whose radius
+    the class decomposition of its lift reads."""
+    dec = lift_chain(problem, validate=False).decomposition
+    radius = max(c.rho for c in dec.classes)
+    return (
+        "absorption is not almost sure: lifted survivor matrix has "
+        f"spectral radius {radius!r}"
+    )
+
+
+def _accepts_exactly_below_the_radius_tolerance(problem):
+    radius = spectral_radius(lift_chain(problem, validate=False).survivor_csr)
+    assert (validate_problem(problem) == []) == (radius < 1.0 - ABSORPTION_RADIUS_TOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_validate_verdict_matches_the_spectral_radius_on_random_problems(seed):
+    problem = random_problem(np.random.default_rng(seed))
+    never_killed = AbsorbedChainProblem(
+        problem.space,
+        problem.kernel,
+        MovingBoundary(problem.gamma, (frozenset(),) * problem.gamma),
+        problem.initial,
+    )
+    for candidate in (problem, never_killed):
+        _accepts_exactly_below_the_radius_tolerance(candidate)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ladder_chain(60),
+        n3_walk,
+        lambda: moving_walk(0.45, 20),
+        leaky_walk,
+        lambda: swap_with_killing(2e-10),
+        lambda: swap_with_killing(1e-11),
+        closed_class_chain,
+    ],
+    ids=["ladder", "n3_walk", "moving_walk", "leaky_walk", "leak-2e-10", "leak-1e-11",
+         "closed-class"],
+)
+def test_validate_verdict_matches_the_spectral_radius(make):
+    _accepts_exactly_below_the_radius_tolerance(make())
+
+
+def test_row_sums_below_the_tolerance_accept_without_decomposing(decompositions):
+    problem = swap_with_killing(2e-10)
+    # the trap's row, which the lift drops, may keep all of its mass
+    returning = problem.kernel.matrix.copy()
+    returning[2] = [1.0, 0.0, 0.0]
+    trap_returns = AbsorbedChainProblem(
+        problem.space, TransitionKernel(returning), problem.boundary, problem.initial
+    )
+    assert validate_problem(problem) == []
+    assert validate_problem(trap_returns) == []
+    assert decompositions == []
+
+
+def test_row_sums_within_the_tolerance_of_one_still_reject():
+    # the row-sum bound 1 - 1e-11 proves nothing; the Perron radius rejects
+    problem = swap_with_killing(1e-11)
+    report = validate_problem(problem)
+    assert report == [_no_absorption(problem)]
+    assert abs(lift_chain(problem, validate=False).decomposition.classes[0].rho
+               - (1.0 - 1e-11)) < 1e-15
+
+
+def test_validate_rejects_a_closed_class():
+    problem = closed_class_chain()
+    message = _no_absorption(problem)
+    assert message.endswith("spectral radius 1.0")
+    assert validate_problem(problem) == [message]
+
+
+def test_expander_chain_validates_from_its_row_sums(decompositions):
+    problem = expander_chain(2000)
+    assert validate_problem(problem) == []
+    assert decompositions == []
+    assert len(lift_chain(problem, validate=False).survivors) == 2 * 2000 - 1
+
+
+def test_expander_chain_mean_ratio_of_one_is_one(decompositions):
+    problem = expander_chain(2000)
+    f = dict.fromkeys(problem.space.labels, 1.0)
+    np.testing.assert_allclose(mean_ratio_curve(problem, f, [50]), [1.0], rtol=1e-12)
+    assert decompositions == []
+
+
 def test_lift_moving_walk_counts():
     lifted = lift_chain(n3_walk())
     pairs = [(x, k) for k in range(2) for x in lifted.problem.space.labels]
@@ -343,6 +446,40 @@ def test_each_call_decomposes_once(entry, decompositions, tmp_path):
     save_problem(problem, spec)
     ENTRY_POINTS[entry](problem, spec)
     assert len(decompositions) == 1
+
+
+VALIDATE_ENTRY_POINTS = {
+    "validate_problem": lambda problem, spec: validate_problem(problem),
+    "cli_validate": lambda problem, spec: main(
+        ["validate", "--in", str(spec), "--out", str(spec.with_name("valid.json"))]
+    ),
+}
+
+# On a chain that leaks from every lifted row, validation reads the row
+# sums only; the analyses that need class data decompose once.
+LEAKY_DECOMPOSITIONS = {
+    "validate_problem": 0,
+    "cli_validate": 0,
+    "mean_ratio_curve": 0,
+    "finite_horizon_qlaw": 0,
+    "cli_oracle": 0,
+    "qed_moving": 1,
+    "build_qprocess": 1,
+    "build_qprocess_dominant": 1,
+    "qld_cycle": 1,
+    "cli_analyze": 1,
+}
+
+
+@pytest.mark.parametrize("entry", list(LEAKY_DECOMPOSITIONS))
+def test_leaky_chain_decomposes_only_for_class_data(entry, decompositions, tmp_path):
+    problem = leaky_walk()
+    spec = tmp_path / "walk.json"
+    save_problem(problem, spec)
+    result = {**ENTRY_POINTS, **VALIDATE_ENTRY_POINTS}[entry](problem, spec)
+    if entry == "validate_problem":
+        assert result == []
+    assert len(decompositions) == LEAKY_DECOMPOSITIONS[entry]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 
 from qergodic import load_problem, moving_walk, problem_to_dict, save_problem
 from qergodic.cli import main
-from _chains import chained_tie, n3_walk, two_copies_tied
+from _chains import chained_tie, leaky_walk, n3_walk, two_copies_tied
 
 
 def _strict(text: str):
@@ -398,6 +399,19 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
+def _scipy_loaded(code: str, cwd) -> list[str]:
+    """The scipy modules loaded by a fresh interpreter that runs ``code``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE.format(code=code)],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
 def test_import_and_monte_carlo_load_no_scipy(tmp_path):
     spec = tmp_path / "walk.json"
     save_problem(moving_walk(0.45, 5), spec)
@@ -405,20 +419,31 @@ def test_import_and_monte_carlo_load_no_scipy(tmp_path):
                   "--out", str(tmp_path / "w.json")]
     simulate = ["simulate", "--in", str(spec), "--paths", "200", "--horizon", "10",
                 "--out", str(tmp_path / "sim.json")]
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for code in (
         "import qergodic",
         f"from qergodic.cli import main; assert main({randomwalk!r}) == 0",
         f"from qergodic.cli import main; assert main({simulate!r}) == 0",
     ):
-        done = subprocess.run(
-            [sys.executable, "-c", SCIPY_PROBE.format(code=code)],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]", code
+        assert _scipy_loaded(code, tmp_path) == [], code
+
+
+def test_leaky_chain_validates_without_scipy_and_sweeps_without_its_solvers(tmp_path):
+    # every lifted row leaks, so the row sums prove absorption and no
+    # class decomposition (csgraph) or Perron solve (linalg) is loaded
+    spec = tmp_path / "leaky.json"
+    save_problem(leaky_walk(), spec)
+    f_path = tmp_path / "f.json"
+    f_path.write_text(json.dumps({"3": 1.0}))
+    validate = ["validate", "--in", str(spec), "--out", str(tmp_path / "v.json")]
+    oracle = ["oracle", "--in", str(spec), "--f", str(f_path), "--n", "50",
+              "--out", str(tmp_path / "o.json")]
+    run = "from qergodic.cli import main; assert main({!r}) == 0"
+    assert _scipy_loaded(run.format(validate), tmp_path) == []
+    assert _strict((tmp_path / "v.json").read_text())["valid"] is True
+    loaded = _scipy_loaded(run.format(oracle), tmp_path)
+    assert "scipy.sparse" in loaded
+    for skipped in ("scipy.sparse.csgraph", "scipy.linalg"):
+        assert not any(m == skipped or m.startswith(skipped + ".") for m in loaded), skipped
 
 
 # labels that the csv module quotes: a comma, a quote, a newline; a space
