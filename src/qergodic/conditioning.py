@@ -24,7 +24,7 @@ import numpy as np
 
 from .chain import AbsorbedChainProblem, Distribution, lift_chain
 from .errors import ConvergenceError, Hypothesis1Error, NullEventError, ValidationError
-from .spectral import RHO_TIE_RTOL, _as_csr, decompose_classes
+from .spectral import _as_csr, decompose_classes
 
 __all__ = [
     "CollapsedChain",
@@ -269,14 +269,9 @@ def qld_cycle(problem: AbsorbedChainProblem) -> QldCycle:
     """
     lifted = lift_chain(problem)
     dec = lifted.decomposition
-    charged = set(dec.class_of[lifted.initial_vector > 0.0].tolist())
-    live = charged | dec.reachable_from(charged)
-    rho_max = max(dec.classes[i].rho for i in live)
-    if rho_max <= 0.0:
-        raise NullEventError("no class reachable from the initial law survives forever")
-    floor = rho_max * (1.0 - RHO_TIE_RTOL)
-    tied = [i for i in sorted(live) if dec.classes[i].rho >= floor]
+    live, tied = dec.dominant_classes(dec.class_of[lifted.initial_vector > 0.0])
     if any(dec.reachable_from({i}) & set(tied) for i in tied):
+        rho_max = max(dec.classes[i].rho for i in tied)
         msg = f"classes {tied} tie for the largest decay rate {rho_max:.12g}"
         raise Hypothesis1Error(f"{msg} and one of them reaches another", tied)
     T = lcm(*(dec.classes[i].period for i in tied))
@@ -360,8 +355,9 @@ def mean_ratio_curve(problem: AbsorbedChainProblem, f, ns) -> np.ndarray:
     ns = [int(n) for n in ns]
     if not ns or min(ns) < 1:
         raise ValueError("horizons must be positive" if ns else "the horizon list is empty")
+    fvec = state_function(problem, f)
     lifted = lift_chain(problem)
-    fvec = state_function(problem, f)[lifted.state]
+    fvec = fvec[lifted.state]
     mu0 = lifted.normalized_initial()
     positions: dict[int, list[int]] = {}
     for i, n in enumerate(ns):
@@ -445,8 +441,9 @@ def qsd_fixed_point_search(
     at most ``_GRID_BUDGET`` points) in chunks of about ``_CHUNK_BYTES``
     per float array.  The eigen candidates are the nonnegative left
     eigenvectors of each phase survivor matrix, one per distinguished
-    class C: ``rho_C > 0`` beats, beyond the ``RHO_TIE_RTOL`` tie, every
-    class C reaches (Schneider, LAA 84, 1986), and ``nu_C`` extends by
+    class C: ``rho_C > 0`` and the dominant-class rule from C alone picks
+    C, that is C beats every class it reaches beyond the decay-rate tie
+    (Schneider, LAA 84, 1986), and ``nu_C`` extends by
     ``nu_C Q_CW (rho_C - Q_WW)^{-1}`` onto those classes W.  A positive
     ``grid_min_gap`` with positive ``eigen_gaps`` certifies nonexistence
     at the grid resolution.
@@ -486,12 +483,12 @@ def qsd_fixed_point_search(
         for i, cls in enumerate(dec.classes):
             if cls.rho <= 0.0:
                 continue
-            below, floor = dec.reachable_from({i}), cls.rho * (1.0 - RHO_TIE_RTOL)
-            if any(dec.classes[j].rho >= floor for j in below):
+            live, tied = dec.dominant_classes({i})
+            if tied != [i]:
                 continue  # not distinguished: no nonnegative eigenvector starts here
             law = np.zeros((1, Q.shape[0]))
             law[0, list(cls.states)] = cls.nu
-            W = np.flatnonzero(np.isin(dec.class_of, list(below)))
+            W = np.flatnonzero(np.isin(dec.class_of, list(live - {i})))
             law[:, W] = _cyclic_solve(cls.rho, Q[W][:, W].T, law @ Q[:, W], -1)
             dist = Distribution(dict(zip(problem.survivors(m), law[0] / law.sum())))
             if all(dist.tv_distance(c[2]) > _SAME_LAW_TV for c in candidates):

@@ -27,9 +27,10 @@ class NullEventError(RuntimeError):
 class Hypothesis1Error(RuntimeError):
     """The dominant-class selection is ambiguous.
 
-    Raised when two or more communicating classes charged by the initial
-    law tie for the maximal decay rate; the spectral limit theorems then
-    do not apply and no class is picked silently.
+    Raised when two or more communicating classes reachable from the
+    initial law tie for the maximal decay rate and the analysis cannot
+    combine them; the spectral limit theorems then do not apply and no
+    class is picked silently.
     """
 
     def __init__(self, message: str, tied_classes: tuple[int, ...] = ()):

@@ -1,11 +1,11 @@
 """Quasi-ergodic (mean-ratio) distributions for fixed and moving boundaries.
 
-Among the communicating classes charged by the initial law, the one with
-the largest decay rate governs the long-run conditioned time averages,
-provided it is unique.  Its mean-ratio distribution weights each state by
-the product of the left and right Perron vectors; for a moving boundary
-the computation runs on the lifted chain and the phase coordinate is
-summed out at the end.
+Among the communicating classes reachable from the initial law, the one
+with the largest decay rate governs the long-run conditioned time
+averages, provided it is unique.  Its mean-ratio distribution weights
+each state by the product of the left and right Perron vectors; for a
+moving boundary the computation runs on the lifted chain and the phase
+coordinate is summed out at the end.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from .chain import AbsorbedChainProblem, Distribution, LiftedChain, lift_chain
 from .conditioning import state_function
-from .errors import Hypothesis1Error, NullEventError, ValidationError
-from .spectral import RHO_TIE_RTOL, ClassDecomposition, IrreducibleClass
+from .errors import Hypothesis1Error, ValidationError
+from .spectral import ClassDecomposition, IrreducibleClass
 from .spectral import decompose_classes
 
 __all__ = [
@@ -34,8 +34,10 @@ class ClassSelection:
     """Outcome of picking the dominant class for an initial law.
 
     ``charged`` lists the classes meeting the support of the law and
-    ``selected_index`` the one with the largest decay rate ``rho_max``; a
-    tie for it raises in :func:`select_dominant`.
+    ``selected_index`` the class with the largest decay rate ``rho_max``
+    among those reachable from the law; a tie for it raises in
+    :func:`select_dominant`.  ``warnings`` is kept for its readers and is
+    always empty.
     """
 
     charged: tuple[int, ...]
@@ -48,13 +50,12 @@ class ClassSelection:
 
 
 def select_dominant(decomposition: ClassDecomposition, mu: np.ndarray) -> ClassSelection:
-    """Pick the class with the largest decay rate among those charged by mu.
+    """Pick the class with the largest decay rate among those reachable from mu.
 
-    Ties within ``RHO_TIE_RTOL`` (relative) are an error: the limit
-    theorems do not apply and choosing silently would fabricate an
-    answer.  A warning is attached when surviving mass can flow from a
-    charged class into a class the law never charged, since the decay
-    rates of such classes do not enter the selection.
+    The candidates are the classes mu charges and every class they reach,
+    as :meth:`ClassDecomposition.dominant_classes` rules.  A tie within
+    ``RHO_TIE_RTOL`` (relative) is an error: the limit theorems do not
+    apply and choosing silently would fabricate an answer.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.shape != decomposition.class_of.shape:
@@ -68,57 +69,20 @@ def select_dominant(decomposition: ClassDecomposition, mu: np.ndarray) -> ClassS
     if not charged:
         raise ValidationError("initial law charges no state of the matrix")
 
-    rho_max = max(decomposition.classes[i].rho for i in charged)
-    if rho_max <= 0.0:
-        raise NullEventError(
-            "every class charged by the initial law has decay rate 0; "
-            "survival is impossible beyond finitely many steps"
-        )
-    maximal = tuple(
-        i
-        for i in charged
-        if decomposition.classes[i].rho >= rho_max * (1.0 - RHO_TIE_RTOL)
-    )
-
-    warnings = []
-    outside = decomposition.reachable_from(charged)
-    if outside:
-        detail = ", ".join(
-            f"class {i} (rho={decomposition.classes[i].rho:.6g})"
-            for i in sorted(outside)
-        )
-        warnings.append(
-            "surviving mass can flow from the charged classes into classes "
-            f"the initial law does not charge ({detail}); the spectral "
-            "selection ignores them, cross-check against the exact oracle"
-        )
-        if any(
-            decomposition.classes[i].rho > rho_max * (1.0 - RHO_TIE_RTOL)
-            for i in outside
-        ):
-            warnings.append(
-                "a reachable uncharged class has a decay rate at least as "
-                "large as the selected one; the spectral answer may not "
-                "describe the true limit"
-            )
-
-    if len(maximal) > 1:
+    _, tied = decomposition.dominant_classes(charged)
+    if len(tied) > 1:
         names = "; ".join(
             f"class {i} with states {decomposition.classes[i].states} "
             f"(rho={decomposition.classes[i].rho:.12g})"
-            for i in maximal
+            for i in tied
         )
         raise Hypothesis1Error(
-            f"dominant class is not unique, {len(maximal)} classes tie for "
+            f"dominant class is not unique, {len(tied)} classes tie for "
             f"the maximal decay rate: {names}",
-            maximal,
+            tied,
         )
-    return ClassSelection(
-        charged=charged,
-        rho_max=float(rho_max),
-        selected_index=maximal[0],
-        warnings=tuple(warnings),
-    )
+    rho_max = float(decomposition.classes[tied[0]].rho)
+    return ClassSelection(charged, rho_max, tied[0], warnings=())
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +146,7 @@ def qed_moving(problem: AbsorbedChainProblem, f=None) -> QedResult:
     lifted mean-ratio weights.  The limit value is the ``eta``-average of
     ``f`` read on the original states.
     """
+    fvec = None if f is None else state_function(problem, f)
     lifted = lift_chain(problem)
     decomposition = lifted.decomposition
     selection = select_dominant(decomposition, lifted.initial_vector)
@@ -189,5 +154,5 @@ def qed_moving(problem: AbsorbedChainProblem, f=None) -> QedResult:
     eta_lifted = _eta_on_class(cls, len(lifted.survivors))
     marginal = np.bincount(lifted.state, eta_lifted, problem.space.size)
     dist = Distribution.from_array(problem.space, marginal)
-    phi = None if f is None else float(state_function(problem, f) @ marginal)
+    phi = None if fvec is None else float(fvec @ marginal)
     return QedResult(decomposition, selection, eta_lifted, dist, phi, lifted)

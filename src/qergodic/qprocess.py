@@ -22,7 +22,6 @@ from .chain import AbsorbedChainProblem, lift_chain
 from .conditioning import _survival_sweep
 from .errors import NullEventError, ValidationError
 from .qed import select_dominant
-from .spectral import IrreducibleClass
 
 __all__ = [
     "PhaseSlice",
@@ -86,24 +85,10 @@ class QProcessKernel:
         return prob
 
 
-def _class_of_lifted_state(lifted, key) -> IrreducibleClass:
-    try:
-        pos = lifted.survivor_index[key]
-    except KeyError:
-        raise ValidationError(
-            f"state {key[0]!r} is absorbed at phase {key[1]}; the conditioned "
-            "chain is undefined from it"
-        ) from None
-    decomposition = lifted.decomposition
-    return decomposition.classes[int(decomposition.class_of[pos])]
-
-
-def _kernel_for_class(problem, lifted, cls) -> QProcessKernel:
-    if cls.rho <= 0.0:
-        raise NullEventError(
-            "the class has decay rate 0: survival beyond finitely many steps "
-            "is impossible, so there is no conditioned chain"
-        )
+def _dominant_kernel(problem, lifted, mu) -> QProcessKernel:
+    """Kernel on the dominant class that ``select_dominant`` picks for the
+    lifted law ``mu``."""
+    cls = select_dominant(lifted.decomposition, mu).selected(lifted.decomposition)
     gamma = lifted.gamma
     space = problem.space
 
@@ -136,22 +121,26 @@ def _kernel_for_class(problem, lifted, cls) -> QProcessKernel:
 def build_qprocess(problem: AbsorbedChainProblem, x: str) -> QProcessKernel:
     """Kernel of the chain started at ``x`` and conditioned to live forever.
 
-    ``x`` must survive phase 0; the kernel lives on the communicating
-    class of ``(x, 0)`` in the lifted chain and every row sums to 1 by
-    the Perron identity of the class (deviations beyond round-off are
-    reported on the result before exact renormalization).
+    ``x`` must survive phase 0; the kernel lives on the dominant class
+    among those reachable from ``(x, 0)`` in the lifted chain, and every
+    row sums to 1 by the Perron identity of the class (deviations beyond
+    round-off are reported on the result before exact renormalization).
     """
     lifted = lift_chain(problem)
-    cls = _class_of_lifted_state(lifted, (x, 0))
-    return _kernel_for_class(problem, lifted, cls)
+    if (x, 0) not in lifted.survivor_index:
+        raise ValidationError(
+            f"state {x!r} is absorbed at phase 0; the conditioned "
+            "chain is undefined from it"
+        )
+    mu = np.zeros(len(lifted.survivors))
+    mu[lifted.survivor_index[(x, 0)]] = 1.0
+    return _dominant_kernel(problem, lifted, mu)
 
 
 def build_qprocess_dominant(problem: AbsorbedChainProblem) -> QProcessKernel:
-    """Kernel on the dominant class selected by the problem's initial law."""
+    """Kernel on the dominant class reachable from the problem's initial law."""
     lifted = lift_chain(problem)
-    selection = select_dominant(lifted.decomposition, lifted.initial_vector)
-    cls = selection.selected(lifted.decomposition)
-    return _kernel_for_class(problem, lifted, cls)
+    return _dominant_kernel(problem, lifted, lifted.initial_vector)
 
 
 def finite_horizon_qlaw(

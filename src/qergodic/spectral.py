@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, NullEventError, ValidationError
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -134,6 +134,22 @@ class ClassDecomposition:
         rooted = sparse.csr_array((np.ones(nnz), indices, indptr), shape=(C + 1, C + 1))
         found = breadth_first_order(rooted, C, return_predecessors=False)
         return set(found[1:].tolist()) - set(start.tolist())
+
+    def dominant_classes(self, class_ids) -> tuple[set[int], list[int]]:
+        """The one dominant-class rule (Darroch & Seneta, J. Appl. Prob. 2,
+        1965): the live classes, ``class_ids`` and every class they reach,
+        and, sorted, the live classes whose decay rate ties, within
+        ``RHO_TIE_RTOL`` relative, for the largest live one.  Raises
+        NullEventError when that largest rate is 0."""
+        start = {int(i) for i in class_ids}
+        live = start | self.reachable_from(start)
+        rho_max = max(self.classes[i].rho for i in live)
+        if rho_max <= 0.0:
+            raise NullEventError(
+                "no class reachable from the initial law survives forever"
+            )
+        floor = rho_max * (1.0 - RHO_TIE_RTOL)
+        return live, [i for i in sorted(live) if self.classes[i].rho >= floor]
 
 
 @dataclass(frozen=True, eq=False)

@@ -190,6 +190,51 @@ def chained_tie():
     )
 
 
+def trap_chain(labels, rows, initial, gamma=1):
+    """Problem on ``labels`` plus an absorbing ``trap`` killed at every phase.
+
+    ``rows`` fills the first rows of the kernel, the trap column last.
+    """
+    P = np.zeros((len(labels) + 1, len(labels) + 1))
+    P[: len(rows), :] = rows
+    P[-1, -1] = 1.0
+    return AbsorbedChainProblem(
+        StateSpace((*labels, "trap")),
+        TransitionKernel(P),
+        MovingBoundary(gamma, (frozenset({"trap"}),) * gamma),
+        initial,
+    )
+
+
+def feeder_ring_sink(ring):
+    """Transient start a (self-loop 0.3) -> ring surviving 0.9 a step -> sink d.
+
+    The start class has rate 0.3, the ring 0.9 and the sink 0.5, so the
+    ring, which the start reaches but does not charge, is the dominant
+    class.
+    """
+    labels = ("a", *ring, "d")
+    idx = {x: i for i, x in enumerate(labels)}
+    P = np.zeros((len(labels), len(labels) + 1))
+    P[0, 0], P[0, idx[ring[0]]] = 0.3, 0.4
+    for x, y in zip(ring, ring[1:] + ring[:1]):
+        P[idx[x], idx[y]] = 0.9
+    P[idx[ring[0]], idx["d"]] = 0.05
+    P[idx["d"], idx["d"]] = 0.5
+    P[:, -1] = 1.0 - P.sum(axis=1)
+    return trap_chain(labels, P, Distribution.point_mass("a"))
+
+
+def rate_zero_feeder():
+    """A start with decay rate 0 feeding a loop that survives 0.9 a step.
+
+    ``a`` has no self-loop, so its class alone would make survival
+    impossible; the dominant class is the loop at ``b``.
+    """
+    rows = [[0.0, 0.6, 0.4], [0.0, 0.9, 0.1]]
+    return trap_chain(("a", "b"), rows, Distribution.point_mass("a"))
+
+
 def ladder_chain(S: int) -> AbsorbedChainProblem:
     """A long transient ladder feeding a 10-cycle, killed at an absorbing sink.
 
@@ -280,6 +325,18 @@ def random_problem(rng, n_states=None, gamma=None) -> AbsorbedChainProblem:
         if float(lifted.normalized_initial() @ u) <= 1e-9:
             continue
         return problem
+
+
+def thinned_random_lift(rng):
+    """The lift of a random problem with about 60 % of its kernel entries
+    zeroed: random_problem's kernels are dense and lift to one class, and
+    thinning splits the lift into several."""
+    problem = random_problem(rng, n_states=int(rng.integers(3, 9)))
+    n = problem.space.size
+    thin = problem.kernel.matrix * (rng.random((n, n)) < 0.4) + 0.05 * np.eye(n)
+    kernel = TransitionKernel(thin / thin.sum(axis=1, keepdims=True))
+    problem = AbsorbedChainProblem(problem.space, kernel, problem.boundary, problem.initial)
+    return lift_chain(problem, validate=False)
 
 
 def permuted_problem(problem: AbsorbedChainProblem, rng) -> AbsorbedChainProblem:

@@ -482,6 +482,21 @@ def test_leaky_chain_decomposes_only_for_class_data(entry, decompositions, tmp_p
     assert len(decompositions) == LEAKY_DECOMPOSITIONS[entry]
 
 
+F_ENTRY_POINTS = {
+    "qed_moving": lambda problem, f: qed_moving(problem, f),
+    "mean_ratio_curve": lambda problem, f: mean_ratio_curve(problem, f, [5]),
+}
+
+
+@pytest.mark.parametrize("f", [{"3": float("nan")}, {"zz": 1.0}], ids=["not-finite", "unknown"])
+@pytest.mark.parametrize("entry", list(F_ENTRY_POINTS))
+def test_a_bad_state_function_is_rejected_before_any_decomposition(entry, f, decompositions):
+    # n3_walk's interior rows sum to 1, so validating its lift decomposes
+    with pytest.raises(ValidationError, match="state function"):
+        F_ENTRY_POINTS[entry](n3_walk(), f)
+    assert decompositions == []
+
+
 @pytest.mark.parametrize(
     "entry",
     [

@@ -10,9 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qergodic import load_problem, moving_walk, problem_to_dict, save_problem
+from qergodic import (
+    exact_mean_ratio,
+    load_problem,
+    moving_walk,
+    problem_to_dict,
+    save_problem,
+)
 from qergodic.cli import main
-from _chains import chained_tie, leaky_walk, n3_walk, two_copies_tied
+from _chains import chained_tie, feeder_ring_sink, leaky_walk, n3_walk, two_copies_tied
 
 
 def _strict(text: str):
@@ -166,6 +172,29 @@ def test_qed_hypothesis_violation_exits_two(tmp_path, capsys):
     assert "diagnostic" in capsys.readouterr().err
     report = _strict(out.read_text())
     assert report["error"] == "Hypothesis1Error"
+
+
+def test_qed_and_qprocess_read_the_class_the_start_reaches(tmp_path, capsys):
+    problem = feeder_ring_sink(("b", "c"))
+    path, f_path = tmp_path / "feeder.json", tmp_path / "f.json"
+    save_problem(problem, path)
+    f_path.write_text(json.dumps({"b": 1.0}))
+    assert main(["qed", "--in", str(path), "--f", str(f_path)]) == 0
+    report = _strict(capsys.readouterr().out)
+    assert abs(report["phi_of_f"] - exact_mean_ratio(problem, {"b": 1.0}, 2000)) <= 1e-2
+    assert report["warnings"] == []
+    assert main(["qprocess", "--in", str(path)]) == 0
+    assert _strict(capsys.readouterr().out)["rho"] == pytest.approx(0.9, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["qed", "qprocess"])
+def test_tie_with_a_reachable_class_exits_two(command, tmp_path, capsys):
+    path = tmp_path / "chained.json"
+    save_problem(chained_tie(), path)
+    out = tmp_path / "report.json"
+    assert main([command, "--in", str(path), "--out", str(out)]) == 2
+    assert "diagnostic" in capsys.readouterr().err
+    assert _strict(out.read_text())["error"] == "Hypothesis1Error"
 
 
 def test_qld_cycle_report(walk_file, capsys):

@@ -39,6 +39,7 @@ from _chains import (
     conditional_law_brute,
     dense_sweep,
     eig_candidates,
+    feeder_ring_sink,
     k2_walk,
     k5_walk,
     ladder_chain,
@@ -51,6 +52,7 @@ from _chains import (
     swap_with_killing,
     symmetric_slow_chain,
     three_cycle,
+    trap_chain,
     two_copies_tied,
 )
 
@@ -270,33 +272,6 @@ def _one_step_residual(problem, cycle):
     )
 
 
-def _trap_chain(labels, rows, initial, gamma=1):
-    """Problem on ``labels`` plus an absorbing ``trap`` killed at every phase."""
-    P = np.zeros((len(labels) + 1, len(labels) + 1))
-    P[: len(rows), :] = rows
-    P[-1, -1] = 1.0
-    return AbsorbedChainProblem(
-        StateSpace((*labels, "trap")),
-        TransitionKernel(P),
-        MovingBoundary(gamma, (frozenset({"trap"}),) * gamma),
-        initial,
-    )
-
-
-def _feeder_ring_sink(ring):
-    """Transient start a (self-loop 0.3) -> ring surviving 0.9 a step -> sink d."""
-    labels = ("a", *ring, "d")
-    idx = {x: i for i, x in enumerate(labels)}
-    P = np.zeros((len(labels), len(labels) + 1))
-    P[0, 0], P[0, idx[ring[0]]] = 0.3, 0.4
-    for x, y in zip(ring, ring[1:] + ring[:1]):
-        P[idx[x], idx[y]] = 0.9
-    P[idx[ring[0]], idx["d"]] = 0.05
-    P[idx["d"], idx["d"]] = 0.5
-    P[:, -1] = 1.0 - P.sum(axis=1)
-    return _trap_chain(labels, P, Distribution.point_mass("a"))
-
-
 def test_qld_cycle_long_moving_walk():
     # stepping the conditioned law until it repeats takes over 1e5 steps here
     problem = moving_walk(0.45, 200, initial="201")
@@ -316,7 +291,7 @@ def test_qld_cycle_reports_the_shortest_period():
     ring = [[0.0] * 4 + [0.1] for _ in range(4)]
     for i in range(4):
         ring[i][(i + 1) % 4] = 0.9
-    problem = _trap_chain("abcd", ring, Distribution({"a": 0.5, "c": 0.5}), gamma=2)
+    problem = trap_chain("abcd", ring, Distribution({"a": 0.5, "c": 0.5}), gamma=2)
     cycle = qld_cycle(problem)
     assert cycle.period == 2
     assert [d.support() for d in cycle.distributions] == [{"b", "d"}, {"a", "c"}]
@@ -340,7 +315,7 @@ def test_qld_cycle_sums_disconnected_tied_classes():
 
 @pytest.mark.parametrize("ring", [("b", "c"), ("b", "c", "e")], ids=["period2", "period3"])
 def test_qld_cycle_with_upstream_and_downstream_classes(ring):
-    problem = _feeder_ring_sink(ring)
+    problem = feeder_ring_sink(ring)
     cycle = qld_cycle(problem)
     assert cycle.period == len(ring)
     for offset, dist in zip(cycle.offsets, cycle.distributions):
@@ -395,7 +370,7 @@ def test_qld_cycle_certificate_rejects_a_wrong_cycle(monkeypatch):
 
 def test_qld_cycle_finite_absorption_is_null():
     rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    problem = _trap_chain(("a", "b"), rows, Distribution.point_mass("a"))
+    problem = trap_chain(("a", "b"), rows, Distribution.point_mass("a"))
     with pytest.raises(NullEventError):
         qld_cycle(problem)
 

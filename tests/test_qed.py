@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qergodic import (
     Distribution,
     Hypothesis1Error,
+    NullEventError,
     decompose_classes,
     exact_mean_ratio,
     lift_chain,
@@ -14,7 +16,19 @@ from qergodic import (
     select_dominant,
     survivor_matrix_fixed,
 )
-from _chains import k2_walk, n3_walk, symmetric_slow_chain, two_copies_tied
+from _chains import (
+    chained_tie,
+    class_edges,
+    feeder_ring_sink,
+    k2_walk,
+    n3_walk,
+    random_problem,
+    rate_zero_feeder,
+    reachable_dfs,
+    symmetric_slow_chain,
+    thinned_random_lift,
+    two_copies_tied,
+)
 
 
 def test_select_dominant_mixed_start_picks_odd_class():
@@ -51,12 +65,69 @@ def test_select_dominant_tie_raises_naming_classes():
     assert len(err.value.tied_classes) == 2
 
 
-def test_select_dominant_closedness_warning():
+def test_select_dominant_picks_the_core_without_warnings():
+    # the absorbing states are reachable from the core but decay at rate 0
     problem = symmetric_slow_chain()
     lifted = lift_chain(problem)
     dec = decompose_classes(lifted.survivor_matrix)
     selection = select_dominant(dec, lifted.initial_vector)
-    assert any("can flow" in w for w in selection.warnings)
+    labels = {lifted.survivors[s][0] for s in selection.selected(dec).states}
+    assert labels == {"a", "b", "c"}
+    assert selection.warnings == ()
+
+
+@pytest.mark.parametrize("ring", [("b", "c"), ("b", "c", "e")], ids=["period2", "period3"])
+def test_qed_moves_to_a_reachable_class_that_outranks_the_start(ring):
+    problem = feeder_ring_sink(ring)
+    result = qed_moving(problem, {"b": 1.0})
+    assert result.rho == pytest.approx(0.9, abs=1e-12)
+    assert set(result.eta_distribution.support()) == set(ring)
+    assert abs(result.phi - exact_mean_ratio(problem, {"b": 1.0}, 2000)) <= 1e-2
+
+
+def test_qed_from_a_rate_zero_start_that_feeds_a_surviving_class():
+    problem = rate_zero_feeder()
+    result = qed_moving(problem, {"b": 1.0})
+    assert result.eta_distribution.weights == {"b": 1.0}
+    assert abs(result.phi - exact_mean_ratio(problem, {"b": 1.0}, 500)) <= 1e-2
+
+
+def test_qed_rejects_a_tie_with_a_reachable_class():
+    with pytest.raises(Hypothesis1Error) as err:
+        qed_moving(chained_tie())
+    assert err.value.tied_classes == (0, 1)
+
+
+def _reference_selection(dec, Q, mu):
+    """The argmax of the decay rate over the classes mu charges and those
+    they reach by a plain DFS: a class index, or the error to expect."""
+    charged = set(dec.class_of[mu > 0.0].tolist())
+    live = charged | reachable_dfs(class_edges(Q, dec.class_of), charged)
+    best = max(live, key=lambda i: dec.classes[i].rho)
+    rho_max = dec.classes[best].rho
+    if rho_max <= 0.0:
+        return NullEventError
+    if any(dec.classes[i].rho >= rho_max * (1.0 - 1e-9) for i in live - {best}):
+        return Hypothesis1Error
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_select_dominant_matches_a_reference_on_random_problems(seed):
+    rng = np.random.default_rng(seed)
+    # a thinned lift started from a random law spans several classes
+    for lifted in (lift_chain(random_problem(rng)), thinned_random_lift(rng)):
+        dec, Q = lifted.decomposition, lifted.survivor_csr.toarray()
+        for mu in (lifted.initial_vector, rng.random(len(Q)) * (rng.random(len(Q)) < 0.3)):
+            if mu.sum() <= 0.0:
+                continue
+            want = _reference_selection(dec, Q, mu)
+            if isinstance(want, type):
+                with pytest.raises(want):
+                    select_dominant(dec, mu)
+            else:
+                assert select_dominant(dec, mu).selected_index == want
 
 
 def test_qed_fixed_k2():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qergodic import (
+    Hypothesis1Error,
     NullEventError,
     ValidationError,
     build_qprocess,
@@ -13,12 +14,15 @@ from qergodic import (
     qprocess_closed_form,
 )
 from _chains import (
+    chained_tie,
     dense_sweep,
+    feeder_ring_sink,
     homogeneous_kernel,
     k2_walk,
     kernel_by_entry,
     n3_walk,
     random_problem,
+    rate_zero_feeder,
     three_cycle,
 )
 
@@ -112,6 +116,31 @@ def test_dominant_kernel_matches_explicit_start():
     b = build_qprocess_dominant(problem)
     for sa, sb in zip(a.slices, b.slices):
         np.testing.assert_array_equal(sa.matrix, sb.matrix)
+
+
+@pytest.mark.parametrize("ring", [("b", "c"), ("b", "c", "e")], ids=["period2", "period3"])
+def test_kernel_lives_on_a_reachable_class_that_outranks_the_start(ring):
+    problem = feeder_ring_sink(ring)
+    labels = problem.space.labels
+    for kernel in (build_qprocess_dominant(problem), build_qprocess(problem, "a")):
+        assert kernel.rho == pytest.approx(0.9, abs=1e-12)
+        assert {x for x, _ in kernel.class_states} == set(ring)
+        for x in ring:
+            for cyl in ([y, z] for y in labels for z in labels):
+                want = finite_horizon_qlaw(problem, x, cyl, 2000)
+                assert abs(kernel.cylinder_probability(x, cyl) - want) <= 1e-6
+
+
+def test_kernel_from_a_rate_zero_start_that_feeds_a_surviving_class():
+    kernel = build_qprocess(rate_zero_feeder(), "a")
+    assert kernel.rho == pytest.approx(0.9, abs=1e-12)
+    assert kernel.class_states == (("b", 0),)
+
+
+def test_kernel_rejects_a_tie_with_a_reachable_class():
+    for build in (build_qprocess_dominant, lambda problem: build_qprocess(problem, "a")):
+        with pytest.raises(Hypothesis1Error):
+            build(chained_tie())
 
 
 def test_finite_horizon_k2_forced():

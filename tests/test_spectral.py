@@ -3,9 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qergodic import (
-    AbsorbedChainProblem,
     ConvergenceError,
-    TransitionKernel,
     ValidationError,
     build_qprocess_dominant,
     decompose_classes,
@@ -33,6 +31,7 @@ from _chains import (
     survival_probability_from_state,
     swap_with_killing,
     three_cycle,
+    thinned_random_lift,
     two_copies_tied,
 )
 
@@ -87,18 +86,6 @@ def _assert_graph_and_reachability(dec, Q, rng):
             assert dec.reachable_from(ids, reverse=reverse) == reachable_dfs(
                 edges, ids, reverse
             )
-
-
-def thinned_random_lift(rng):
-    """The lift of a random problem with about 60 % of its kernel entries
-    zeroed: random_problem's kernels are dense and lift to one class, and
-    thinning splits the lift into several."""
-    problem = random_problem(rng, n_states=int(rng.integers(3, 9)))
-    n = problem.space.size
-    thin = problem.kernel.matrix * (rng.random((n, n)) < 0.4) + 0.05 * np.eye(n)
-    kernel = TransitionKernel(thin / thin.sum(axis=1, keepdims=True))
-    problem = AbsorbedChainProblem(problem.space, kernel, problem.boundary, problem.initial)
-    return lift_chain(problem, validate=False)
 
 
 @settings(max_examples=60, deadline=None)
