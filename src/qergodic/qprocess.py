@@ -64,13 +64,26 @@ class QProcessKernel:
     def slice_for(self, n: int) -> PhaseSlice:
         return self.slices[n % self.gamma]
 
+    def _check_start(self, x: str) -> None:
+        """Raise ValidationError, naming ``x`` and the class, unless
+        ``(x, 0)`` is a state of the kernel's class."""
+        if (x, 0) not in self.class_states:
+            raise ValidationError(
+                f"state {x!r} at phase 0 is not in the kernel's class "
+                f"{list(self.class_states)}"
+            )
+
     def cylinder_probability(self, x: str, cylinder) -> float:
         """Probability that the conditioned chain follows the given states.
 
         ``cylinder[k-1]`` is the required state at time k; the product of
         kernel entries along the way, zero as soon as a transition leaves
-        the class.
+        the class.  The chain starts at ``(x, 0)``, which must lie in the
+        class; from a start upstream of it the conditioned laws need not
+        converge and the kernel does not describe them, so such a start
+        raises ValidationError naming ``x`` and the class.
         """
+        self._check_start(x)
         prob = 1.0
         current = x
         for step, target in enumerate(cylinder, start=1):

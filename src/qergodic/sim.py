@@ -324,8 +324,7 @@ def simulate_qprocess(
     Returns one label sequence per path; by construction the chain never
     meets the killing sets.
     """
-    if (x, 0) not in set(kernel.class_states):
-        raise ValidationError(f"state {x!r} at phase 0 is not in the kernel's class")
+    kernel._check_start(x)
     # y at phase k is position offset[k] + (column of y in slice k); its row
     # is slice k+1's row for y, so each row's running sums are its slice's.
     slices = kernel.slices

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,15 @@ _BRACKET_RTOL = 1e-10
 RHO_TIE_RTOL = 1e-9  # class decay rates this close, relative, tie for the largest
 
 
+class _Perron(NamedTuple):
+    rho: float
+    nu: np.ndarray
+    xi: np.ndarray
+    nu_residual: float
+    xi_residual: float
+    rho_bracket: tuple[float, float]
+
+
 @dataclass(frozen=True, eq=False)
 class IrreducibleClass:
     """One communicating class with its Perron data.
@@ -62,18 +72,27 @@ class IrreducibleClass:
     p.  A transient singleton without a self-loop gets ``rho = 0``,
     period 1 and trivial vectors.  ``rho_bracket`` holds Collatz-Wielandt
     bounds ``lo <= rho <= hi``, ``(0.0, 0.0)`` for a transient singleton.
+    The period and cyclic classes are found on construction; ``rho``,
+    ``nu``, ``xi``, their residuals and ``rho_bracket`` are solved
+    together the first time one of them is read, and kept, so a class
+    that no caller reads costs no Perron solve.
     """
 
     states: tuple[int, ...]
     period: int
     cyclic: np.ndarray
-    rho: float
-    nu: np.ndarray
-    xi: np.ndarray
     submatrix: sparse.csr_array
-    nu_residual: float
-    xi_residual: float
-    rho_bracket: tuple[float, float]
+
+    @cached_property
+    def _perron(self) -> _Perron:
+        return _perron_solve(self)
+
+    rho = property(attrgetter("_perron.rho"))
+    nu = property(attrgetter("_perron.nu"))
+    xi = property(attrgetter("_perron.xi"))
+    nu_residual = property(attrgetter("_perron.nu_residual"))
+    xi_residual = property(attrgetter("_perron.xi_residual"))
+    rho_bracket = property(attrgetter("_perron.rho_bracket"))
 
     @cached_property
     def _position(self) -> dict[int, int]:
@@ -246,24 +265,13 @@ def _as_csr(Q) -> sparse.csr_array:
 
 
 def _class_data(sub: sparse.csr_array, states: tuple[int, ...]) -> IrreducibleClass:
-    """Perron data of the class ``states`` with one-step CSR block ``sub``,
-    whose positive pattern the callers have found strongly connected."""
+    """Period and cyclic classes of the class ``states`` with one-step CSR
+    block ``sub``, whose positive pattern the callers have found strongly
+    connected.  Its Perron data is left to :func:`_perron_solve`."""
     from scipy.sparse.csgraph import shortest_path
 
-    n = len(states)
-    if n == 1 and not np.any(sub.data > 0.0):
-        return IrreducibleClass(
-            states=states,
-            period=1,
-            cyclic=np.zeros(1, dtype=int),
-            rho=0.0,
-            nu=np.ones(1),
-            xi=np.ones(1),
-            submatrix=sub,
-            nu_residual=0.0,
-            xi_residual=0.0,
-            rho_bracket=(0.0, 0.0),
-        )
+    if len(states) == 1 and not np.any(sub.data > 0.0):
+        return IrreducibleClass(states, 1, np.zeros(1, dtype=int), sub)
 
     graph = sub > 0.0
     # Phase BFS from the anchor; each edge u -> v closes a cycle of length
@@ -272,7 +280,15 @@ def _class_data(sub: sparse.csr_array, states: tuple[int, ...]) -> IrreducibleCl
     dist = shortest_path(graph, unweighted=True, indices=0).astype(int)
     rows, cols = graph.nonzero()
     period = int(np.gcd.reduce(dist[rows] + 1 - dist[cols]))
-    cyclic = dist % period
+    return IrreducibleClass(states, period, dist % period, sub)
+
+
+def _perron_solve(cls: IrreducibleClass) -> _Perron:
+    """Perron data of one class, as :func:`perron_data` describes it."""
+    sub, period, cyclic = cls.submatrix, cls.period, cls.cyclic
+    n = cls.size
+    if n == 1 and not np.any(sub.data > 0.0):
+        return _Perron(0.0, np.ones(1), np.ones(1), 0.0, 0.0, (0.0, 0.0))
     cyclic_local = [np.flatnonzero(cyclic == j) for j in range(period)]
 
     # T-step matrix on C_0 as a product of the one-step blocks; primitive.
@@ -306,18 +322,7 @@ def _class_data(sub: sparse.csr_array, states: tuple[int, ...]) -> IrreducibleCl
 
     nu_res = _relative_residual(nu, nu @ sub, rho)
     xi_res = _relative_residual(xi, sub @ xi, rho)
-    return IrreducibleClass(
-        states=states,
-        period=period,
-        cyclic=cyclic,
-        rho=rho,
-        nu=nu,
-        xi=xi,
-        submatrix=sub,
-        nu_residual=nu_res,
-        xi_residual=xi_res,
-        rho_bracket=rho_bracket,
-    )
+    return _Perron(rho, nu, xi, nu_res, xi_res, rho_bracket)
 
 
 def perron_data(Q, states) -> IrreducibleClass:
@@ -334,7 +339,9 @@ def perron_data(Q, states) -> IrreducibleClass:
     around the other cyclic classes.  This is where states from outside
     meet the class code: raises ValidationError unless the positive pattern
     on ``states`` is strongly connected, and ConvergenceError if a bracket
-    cannot be narrowed to ``_BRACKET_RTOL``.
+    cannot be narrowed to ``_BRACKET_RTOL``.  Unlike the classes of
+    :func:`decompose_classes`, the returned class has its Perron data
+    solved before it is returned.
     """
     from scipy.sparse.csgraph import connected_components
 
@@ -344,16 +351,22 @@ def perron_data(Q, states) -> IrreducibleClass:
     sub = Q[idx][:, idx]
     if connected_components(sub > 0.0, directed=True, connection="strong")[0] != 1:
         raise ValidationError("the given states do not form an irreducible class")
-    return _class_data(sub, states)
+    cls = _class_data(sub, states)
+    cls._perron  # solved here, not on first read
+    return cls
 
 
 def decompose_classes(Q) -> ClassDecomposition:
     """Strongly-connected-component partition of the positive pattern.
 
     ``Q``, dense or sparse, is converted to CSR once.  Classes come back
-    ordered by smallest contained state index, each carrying its full
-    Perron data; their blocks are cut from one class-ordered permutation
-    of ``Q``.  The condensation ``graph`` joins the classes.
+    ordered by smallest contained state index, each with its period and
+    cyclic classes; their blocks are cut from one class-ordered
+    permutation of ``Q``.  The condensation ``graph`` joins the classes.
+    Each class solves its Perron data the first time it is read, so a
+    caller pays only for the classes it reads: the dominant-class rule
+    reads ``rho`` on the classes the start reaches, and QED and the
+    q-process read ``nu`` and ``xi`` on the selected class alone.
     """
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components

@@ -292,6 +292,37 @@ def expander_chain(n: int) -> AbsorbedChainProblem:
     )
 
 
+def sparse_periodic_chain(seed: int, size: int = 60, gamma: int = 5) -> AbsorbedChainProblem:
+    """A seeded sparse chain with a period-``gamma`` boundary.
+
+    States ``s0 .. s{size-1}``, the last a sink killed at every phase.
+    Every other state sends 0.01 to the sink and the rest to 4 distinct
+    non-sink states with random weights; each phase also kills a tenth
+    of the non-sink states.  The start is uniform on the phase-0
+    survivors.  Its lift has several classes of period up to ``gamma``.
+    """
+    rng = np.random.default_rng(seed)
+    sink = size - 1
+    labels = tuple(f"s{i}" for i in range(size))
+    P = np.zeros((size, size))
+    for i in range(sink):
+        weights = rng.random(4) + 0.1
+        P[i, rng.choice(sink, size=4, replace=False)] = 0.99 * weights / weights.sum()
+        P[i, sink] += 0.01
+    P[sink, sink] = 1.0
+    sets = tuple(
+        frozenset(labels[i] for i in rng.choice(sink, size=round(sink / 10), replace=False))
+        | {labels[sink]}
+        for _ in range(gamma)
+    )
+    return AbsorbedChainProblem(
+        StateSpace(labels),
+        TransitionKernel(P),
+        MovingBoundary(gamma, sets),
+        Distribution.uniform(x for x in labels if x not in sets[0]),
+    )
+
+
 def random_problem(rng, n_states=None, gamma=None) -> AbsorbedChainProblem:
     """A random valid problem with surviving mass for at least 2 periods."""
     while True:

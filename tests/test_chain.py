@@ -294,6 +294,36 @@ def test_expander_chain_mean_ratio_of_one_is_one(decompositions):
     assert decompositions == []
 
 
+def test_lifetime_certifies_a_walk_whose_perron_iterate_underflows(decompositions):
+    # interior rows sum to 1, and the Perron iterate of moving_walk(0.1, 350)
+    # spans more decades than a float holds; the expected lifetime settles it
+    problem = moving_walk(0.1, 350)
+    assert validate_problem(problem) == []
+    assert decompositions == []
+
+
+def test_lifetime_bound_is_a_radius_bound_that_falls_through_when_singular():
+    walk = lift_chain(n3_walk(), validate=False)
+    bound = chain._lifetime_bound(walk.survivor_csr)
+    assert spectral_radius(walk.survivor_csr) <= bound < 1.0 - ABSORPTION_RADIUS_TOL
+    closed = lift_chain(closed_class_chain(), validate=False)
+    assert chain._lifetime_bound(closed.survivor_csr) == np.inf
+
+
+def test_mean_ratio_of_a_walk_whose_perron_iterate_underflows():
+    problem = moving_walk(0.1, 350)
+    f, ns = {str(x): float(x) for x in range(701)}, [1, 50, 200]
+    lifted = lift_chain(problem, validate=False)
+    mu0 = lifted.normalized_initial()
+    fvec = conditioning.state_function(problem, f)[lifted.state]
+    want = []
+    for j, V, _ in conditioning._survival_sweep(lifted.survivor_csr, max(ns), fvec):
+        if j in ns:
+            denom, total = mu0 @ V
+            want.append(total / (j * denom))
+    assert mean_ratio_curve(problem, f, ns).tolist() == want
+
+
 def test_lift_moving_walk_counts():
     lifted = lift_chain(n3_walk())
     pairs = [(x, k) for k in range(2) for x in lifted.problem.space.labels]
@@ -439,13 +469,28 @@ ENTRY_POINTS = {
 }
 
 
+# n3_walk's interior rows sum to 1, so its row sums prove nothing, but its
+# expected lifetime certifies absorption; only the analyses that read
+# class data decompose, once.
+DECOMPOSITIONS = {
+    "qed_moving": 1,
+    "build_qprocess": 1,
+    "build_qprocess_dominant": 1,
+    "mean_ratio_curve": 0,
+    "finite_horizon_qlaw": 0,
+    "qld_cycle": 1,
+    "cli_analyze": 1,
+    "cli_oracle": 0,
+}
+
+
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 def test_each_call_decomposes_once(entry, decompositions, tmp_path):
     problem = n3_walk()
     spec = tmp_path / "walk.json"
     save_problem(problem, spec)
     ENTRY_POINTS[entry](problem, spec)
-    assert len(decompositions) == 1
+    assert len(decompositions) == DECOMPOSITIONS[entry]
 
 
 VALIDATE_ENTRY_POINTS = {

@@ -253,6 +253,18 @@ def test_oracle_emits_value_and_csvs(walk_file, f_file, tmp_path):
     assert (tmp_path / "oracle_conditional_laws.csv").exists()
 
 
+def test_validate_and_oracle_on_a_walk_whose_perron_iterate_underflows(f_file, tmp_path):
+    # the Perron iterate of this walk underflows; neither command needs it
+    spec, out = tmp_path / "walk.json", tmp_path / "oracle.json"
+    assert main(["randomwalk", "--p", "0.1", "--N", "350", "--out", str(spec)]) == 0
+    assert main(["validate", "--in", str(spec), "--out", str(tmp_path / "v.json")]) == 0
+    assert _strict((tmp_path / "v.json").read_text())["valid"] is True
+    code = main(["oracle", "--in", str(spec), "--f", str(f_file), "--n", "50",
+                 "--out", str(out)])
+    assert code == 0
+    assert _strict(out.read_text())["n"] == 50
+
+
 def test_oracle_requires_f(walk_file, capsys):
     code = main(["oracle", "--in", str(walk_file), "--n", "10"])
     assert code == 1

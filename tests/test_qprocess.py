@@ -233,6 +233,13 @@ def test_cylinder_probability_leaving_class_is_zero():
     assert kernel.cylinder_probability("3", ["3"]) == 0.0
 
 
+def test_cylinder_probability_rejects_a_start_upstream_of_the_class():
+    kernel = build_qprocess(feeder_ring_sink(("b", "c")), "a")
+    with pytest.raises(ValidationError, match=r"state 'a' at phase 0 .*\('b', 0\)"):
+        kernel.cylinder_probability("a", ["b"])
+    assert kernel.cylinder_probability("b", ["c"]) == 1.0
+
+
 def test_homogeneous_kernel_is_row_stochastic_product():
     kernel = build_qprocess(n3_walk(0.35), "3")
     states, matrix = homogeneous_kernel(kernel, 0)

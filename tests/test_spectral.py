@@ -14,11 +14,15 @@ from qergodic import (
     peripheral_system,
     perron_data,
     qed_moving,
+    qld_cycle,
     qprocess_closed_form,
+    save_problem,
     spectral_radius,
     survival_coefficient,
     verify_eigenprojection,
 )
+from qergodic import spectral
+from qergodic.cli import main
 from _chains import (
     chained_tie,
     class_edges,
@@ -28,6 +32,7 @@ from _chains import (
     n3_walk,
     random_problem,
     reachable_dfs,
+    sparse_periodic_chain,
     survival_probability_from_state,
     swap_with_killing,
     three_cycle,
@@ -191,6 +196,62 @@ def test_perron_data_rebuilds_each_class_of_test_chains(problem):
 def test_perron_data_rebuilds_each_class_of_thinned_random_lifts(seed):
     lifted = thinned_random_lift(np.random.default_rng(seed))
     _assert_perron_data_rebuilds_every_class(lifted.survivor_csr)
+
+
+def _assert_lazy_classes_match_perron_data(Q):
+    classes = decompose_classes(Q).classes
+    assert not any("_perron" in vars(cls) for cls in classes)
+    for cls in classes:
+        assert _class_bytes(cls) == _class_bytes(perron_data(Q, cls.states))
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [moving_walk(0.45, 40), moving_walk(0.3, 25, initial="25"), n3_walk(),
+     sparse_periodic_chain(1), sparse_periodic_chain(47)],
+    ids=["walk-40", "walk-25", "n3", "sparse-1", "sparse-47"],
+)
+def test_lazy_perron_data_is_bit_equal_to_perron_data(problem):
+    _assert_lazy_classes_match_perron_data(lift_chain(problem).survivor_csr)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lazy_perron_data_is_bit_equal_on_random_problems(seed):
+    problem = random_problem(np.random.default_rng(seed))
+    _assert_lazy_classes_match_perron_data(lift_chain(problem).survivor_csr)
+
+
+def _analyze(problem, spec):
+    main(["analyze", "--in", str(spec), "--out", str(spec.with_name("report.json"))])
+
+
+# moving_walk(0.45, 100) lifts to two parity classes, and a point start
+# reaches one of them
+PERRON_SOLVES = {
+    "qed_moving": (lambda problem, spec: qed_moving(problem), 1),
+    "build_qprocess_dominant": (lambda problem, spec: build_qprocess_dominant(problem), 1),
+    "qld_cycle": (lambda problem, spec: qld_cycle(problem), 1),
+    "cli_analyze": (_analyze, 2),
+}
+
+
+@pytest.mark.parametrize("entry", list(PERRON_SOLVES))
+def test_perron_data_is_solved_only_for_the_classes_a_call_reads(entry, monkeypatch, tmp_path):
+    solved = []
+    original = spectral._perron_solve
+
+    def counting(cls):
+        solved.append(cls.states)
+        return original(cls)
+
+    monkeypatch.setattr(spectral, "_perron_solve", counting)
+    problem = moving_walk(0.45, 100, initial="101")
+    spec = tmp_path / "walk.json"
+    save_problem(problem, spec)
+    call, count = PERRON_SOLVES[entry]
+    call(problem, spec)
+    assert len(solved) == len(set(solved)) == count
 
 
 def test_transient_singleton_has_rho_zero():
