@@ -137,9 +137,15 @@ class TransitionKernel:
         """Whether every entry is finite, the first entry outside [0, 1]
         (None if there is none) and the row sums."""
         m = self.matrix
-        bad = np.argwhere((m < 0.0) | (m > 1.0 + ROW_SUM_TOL))
-        first_bad = tuple(bad[0]) if bad.size else None
-        return bool(np.all(np.isfinite(m))), first_bad, m.sum(axis=1)
+        sums = m.sum(axis=1)
+        first_bad = None
+        # min and max are NaN, so the search runs, when an entry is NaN
+        if m.size and not (m.min() >= 0.0 and m.max() <= 1.0 + ROW_SUM_TOL):
+            bad = np.argwhere((m < 0.0) | (m > 1.0 + ROW_SUM_TOL))
+            first_bad = tuple(bad[0]) if bad.size else None
+        # a row with an entry that is not finite does not sum to a finite value
+        finite = bool(np.isfinite(sums).all() or np.isfinite(m).all())
+        return finite, first_bad, sums
 
     @cached_property
     def normalized(self) -> np.ndarray:

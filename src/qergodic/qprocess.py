@@ -193,7 +193,7 @@ def finite_horizon_qlaw(
 
     index = lifted.survivor_index
     tail = index[(current, n % gamma)]
-    for j, V, exponent in _survival_sweep(lifted.survivor_csr, m):
+    for j, V, exponent in _survival_sweep(lifted, m, [m]):
         if j == m - n:
             tail_value, tail_exponent = V[tail, 0], exponent
     denom = V[index[(x, 0)], 0]

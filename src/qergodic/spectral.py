@@ -125,6 +125,27 @@ class IrreducibleClass:
         return np.bincount(self.cyclic, self.nu, self.period)
 
 
+class _Singleton(IrreducibleClass):
+    """A class of one state, made from its diagonal entry ``loop`` with no
+    scipy object: period 1, the 1 x 1 ``submatrix`` built on first read,
+    and the Perron data that Noda's iteration returns on ``[[loop]]``:
+    ``rho = loop``, unit vectors, zero residuals and the bracket
+    ``(loop, loop)``, which is 0 for a transient state."""
+
+    def __init__(self, state: int, loop: float):
+        self.__dict__.update(states=(state,), period=1, cyclic=np.zeros(1, dtype=int), loop=loop)
+
+    @cached_property
+    def submatrix(self) -> sparse.csr_array:
+        from scipy import sparse
+
+        return sparse.csr_array(np.array([[self.loop]]))
+
+    @cached_property
+    def _perron(self) -> _Perron:
+        return _Perron(self.loop, np.ones(1), np.ones(1), 0.0, 0.0, (self.loop, self.loop))
+
+
 @dataclass(frozen=True, eq=False)
 class ClassDecomposition:
     """Partition of the states of a substochastic matrix into classes.
@@ -207,7 +228,7 @@ class EigenProjectionReport:
     projection_residual: float
 
 
-def _noda(A: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _noda(A: np.ndarray, x: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
     """Perron vector of an irreducible nonnegative matrix, with its bracket.
 
     Noda's iteration ``x <- (theta I - A)^{-1} x`` with the upper bound
@@ -217,10 +238,16 @@ def _noda(A: np.ndarray) -> tuple[np.ndarray, float, float]:
     entries of ``x`` far apart in magnitude keep their relative accuracy.
     Returns the iterate with the narrowest Collatz-Wielandt bracket
     ``min(Ax/x) <= rho <= max(Ax/x)``, once that closes to a few ulps or
-    stops narrowing below ``_BRACKET_RTOL`` relative width.
+    stops narrowing below ``_BRACKET_RTOL`` relative width.  It starts
+    from ``x`` when that is finite and positive, else flat; a start whose
+    bracket is open and whose first solve is singular (its ``max(Ax/x)``
+    is rho to working precision) was never polished by a solve, and the
+    run starts again flat.
     """
     n = A.shape[0]
-    x = np.full(n, 1.0 / n)
+    warm = x is not None and bool(np.isfinite(x).all() and (x > 0.0).all())
+    x = x / x.max() if warm else np.ones(n)
+    x /= x.sum()
     best = (x, -np.inf, np.inf)
     for solves in range(_NODA_MAX_STEPS + 1):
         # an entry that under- or overflowed makes Ax/x 0/0: stop before it
@@ -238,6 +265,8 @@ def _noda(A: np.ndarray) -> tuple[np.ndarray, float, float]:
         try:
             x = x * np.linalg.solve(hi * np.eye(n) - B, np.ones(n))
         except np.linalg.LinAlgError:  # hi is rho to working precision
+            if warm and solves == 0:
+                return _noda(A)
             break
         x /= x.sum()
     x, lo, hi = best
@@ -248,6 +277,22 @@ def _noda(A: np.ndarray) -> tuple[np.ndarray, float, float]:
             residual=(hi - lo) / hi,
         )
     return x, lo, hi
+
+
+def _left_start(A: np.ndarray, right: np.ndarray, hi: float) -> np.ndarray | None:
+    """A start for Noda's run on ``A.T``: one step of inverse iteration
+    on the right run's last system, ``(hi I - D^{-1} A D)^T z = 1`` with
+    ``D = diag(right)``.  With ``hi`` a few ulps above rho it converges in
+    that step (Peters & Wilkinson, SIAM Rev. 21, 1979), and ``z / right``
+    is then the left Perron vector of ``A``; None when the system is
+    singular, and :func:`_noda` starts flat from a start that is not
+    finite and positive."""
+    n = A.shape[0]
+    try:
+        z = np.linalg.solve((hi * np.eye(n) - A * right / right[:, None]).T, np.ones(n))
+    except np.linalg.LinAlgError:
+        return None
+    return z / right
 
 
 def _relative_residual(vec: np.ndarray, image: np.ndarray, lam) -> float:
@@ -270,8 +315,8 @@ def _class_data(sub: sparse.csr_array, states: tuple[int, ...]) -> IrreducibleCl
     connected.  Its Perron data is left to :func:`_perron_solve`."""
     from scipy.sparse.csgraph import shortest_path
 
-    if len(states) == 1 and not np.any(sub.data > 0.0):
-        return IrreducibleClass(states, 1, np.zeros(1, dtype=int), sub)
+    if len(states) == 1:
+        return _Singleton(states[0], float(sub.sum()))
 
     graph = sub > 0.0
     # Phase BFS from the anchor; each edge u -> v closes a cycle of length
@@ -284,25 +329,27 @@ def _class_data(sub: sparse.csr_array, states: tuple[int, ...]) -> IrreducibleCl
 
 
 def _perron_solve(cls: IrreducibleClass) -> _Perron:
-    """Perron data of one class, as :func:`perron_data` describes it."""
+    """Perron data of a class of two or more states, as :func:`perron_data`
+    describes it: the T-step block is formed from the CSR one-step blocks,
+    which also carry ``nu`` and ``xi`` around the cyclic classes, and the
+    left Noda run starts from :func:`_left_start`."""
     sub, period, cyclic = cls.submatrix, cls.period, cls.cyclic
     n = cls.size
-    if n == 1 and not np.any(sub.data > 0.0):
-        return _Perron(0.0, np.ones(1), np.ones(1), 0.0, 0.0, (0.0, 0.0))
     cyclic_local = [np.flatnonzero(cyclic == j) for j in range(period)]
 
-    # T-step matrix on C_0 as a product of the one-step blocks; primitive.
-    # Dense solves on it beat a sparse LU of the one-step class matrix,
-    # which fills in (250k L+U nonzeros from 3,962 on 1,102 states, T=5).
+    # T-step matrix on C_0, primitive, made from the right: B_0 @ (B_1 @ ...
+    # B_{T-1}) with CSR blocks and one dense factor.  Dense solves on it beat
+    # a sparse LU of the one-step class matrix, which fills in (250k L+U
+    # nonzeros from 3,962 on 1,102 states, T=5).
     blocks = [
-        sub[cyclic_local[j]][:, cyclic_local[(j + 1) % period]].toarray()
+        sub[cyclic_local[j]][:, cyclic_local[(j + 1) % period]]
         for j in range(period)
     ]
-    t_step = blocks[0]
-    for b in blocks[1:]:
-        t_step = t_step @ b
+    t_step = blocks[-1].toarray()
+    for b in blocks[-2::-1]:
+        t_step = b @ t_step
     right0, lo_r, hi_r = _noda(t_step)
-    left0, lo_l, hi_l = _noda(t_step.T)
+    left0, lo_l, hi_l = _noda(t_step.T, _left_start(t_step, right0, hi_r))
     theta = (left0 @ t_step @ right0) / (left0 @ right0)
     root = 1.0 / period
     rho = float(theta) ** root
@@ -332,8 +379,9 @@ def perron_data(Q, states) -> IrreducibleClass:
     gcd of directed cycle lengths through the anchor (the smallest state
     index), obtained from a BFS phase labelling.  The T-step matrix
     restricted to ``C_0`` is primitive; Noda's iteration gives its right
-    Perron vector and, run again on the transpose, its left one, each with
-    a Collatz-Wielandt bracket of its Perron root.  ``rho`` is the T-th
+    Perron vector and, run again on the transpose from one step of inverse
+    iteration on the right run's last system, its left one, each with a
+    Collatz-Wielandt bracket of its Perron root.  ``rho`` is the T-th
     root of their Rayleigh quotient, ``rho_bracket`` the T-th roots of the
     hull of both brackets, and the one-step blocks carry both vectors
     around the other cyclic classes.  This is where states from outside
@@ -361,8 +409,11 @@ def decompose_classes(Q) -> ClassDecomposition:
 
     ``Q``, dense or sparse, is converted to CSR once.  Classes come back
     ordered by smallest contained state index, each with its period and
-    cyclic classes; their blocks are cut from one class-ordered
-    permutation of ``Q``.  The condensation ``graph`` joins the classes.
+    cyclic classes; the blocks of classes of two or more states are cut
+    from one class-ordered permutation of ``Q``, and the one-state classes
+    are made in bulk from its diagonal, with no block cut (a 1 x 1 CSR
+    slice costs tens of microseconds, and a long transient chain has
+    thousands of them).  The condensation ``graph`` joins the classes.
     Each class solves its Perron data the first time it is read, so a
     caller pays only for the classes it reads: the dominant-class rule
     reads ``rho`` on the classes the start reaches, and QED and the
@@ -380,9 +431,11 @@ def decompose_classes(Q) -> ClassDecomposition:
     order = np.argsort(class_of, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(class_of))))
     permuted = Q[order][:, order]
+    states, loops = order.tolist(), permuted.diagonal().tolist()
     classes = tuple(
-        _class_data(permuted[lo:hi, lo:hi], tuple(order[lo:hi].tolist()))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
+        _Singleton(states[lo], loops[lo]) if hi - lo == 1
+        else _class_data(permuted[lo:hi, lo:hi], tuple(states[lo:hi]))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
     )
 
     rows, cols = positive.nonzero()

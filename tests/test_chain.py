@@ -311,13 +311,16 @@ def test_lifetime_bound_is_a_radius_bound_that_falls_through_when_singular():
 
 
 def test_mean_ratio_of_a_walk_whose_perron_iterate_underflows():
+    # mean_ratio_curve sweeps the phases its horizons read; the reference
+    # asks for every residue, so it runs the full CSR product at each step
     problem = moving_walk(0.1, 350)
     f, ns = {str(x): float(x) for x in range(701)}, [1, 50, 200]
     lifted = lift_chain(problem, validate=False)
     mu0 = lifted.normalized_initial()
     fvec = conditioning.state_function(problem, f)[lifted.state]
     want = []
-    for j, V, _ in conditioning._survival_sweep(lifted.survivor_csr, max(ns), fvec):
+    every = range(lifted.gamma)
+    for j, V, _ in conditioning._survival_sweep(lifted, max(ns), every, fvec):
         if j in ns:
             denom, total = mu0 @ V
             want.append(total / (j * denom))
@@ -535,11 +538,17 @@ F_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("f", [{"3": float("nan")}, {"zz": 1.0}], ids=["not-finite", "unknown"])
 @pytest.mark.parametrize("entry", list(F_ENTRY_POINTS))
-def test_a_bad_state_function_is_rejected_before_any_decomposition(entry, f, decompositions):
-    # n3_walk's interior rows sum to 1, so validating its lift decomposes
+def test_a_bad_state_function_is_rejected_before_any_decomposition(
+    entry, f, decompositions, monkeypatch
+):
+    # n3_walk's interior rows sum to 1, so validating its lift solves for
+    # the expected lifetime; a bad f is rejected before the lift is validated
+    lifetimes = []
+    bound = chain._lifetime_bound
+    monkeypatch.setattr(chain, "_lifetime_bound", lambda Q: lifetimes.append(Q) or bound(Q))
     with pytest.raises(ValidationError, match="state function"):
         F_ENTRY_POINTS[entry](n3_walk(), f)
-    assert decompositions == []
+    assert decompositions == [] and lifetimes == []
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
 from qergodic import (
     ConvergenceError,
@@ -252,6 +253,103 @@ def test_perron_data_is_solved_only_for_the_classes_a_call_reads(entry, monkeypa
     call, count = PERRON_SOLVES[entry]
     call(problem, spec)
     assert len(solved) == len(set(solved)) == count
+
+
+def _noda_class_bytes(Q, state):
+    """The class bytes of ``state`` as the general path finds them: Noda's
+    iteration on the 1 x 1 block cut from ``Q``."""
+    block = Q[[state]][:, [state]]
+    cls = spectral.IrreducibleClass((state,), 1, np.zeros(1, dtype=int), block)
+    return _class_bytes(cls)
+
+
+def test_singleton_classes_are_built_without_cutting_a_block(monkeypatch):
+    cuts = []
+    getitem = sparse.csr_array.__getitem__
+
+    def counting(self, key):
+        block = getitem(self, key)
+        cuts.append(block.shape)
+        return block
+
+    Q = lift_chain(ladder_chain(600)).survivor_csr
+    # a self-loop on every state of an upper-triangular matrix: each state
+    # is a singleton with rho > 0
+    looped = sparse.csr_array(np.triu(np.random.default_rng(5).uniform(0.0, 0.2, (40, 40))))
+    monkeypatch.setattr(sparse.csr_array, "__getitem__", counting)
+    decompositions = [decompose_classes(Q), decompose_classes(looped)]
+    assert (1, 1) not in cuts
+    monkeypatch.undo()
+
+    assert sum(c.size == 1 for c in decompositions[0].classes) == 589
+    assert all(c.size == 1 and c.rho > 0.0 for c in decompositions[1].classes)
+    for matrix, dec in zip((Q, looped), decompositions):
+        for cls in dec.classes:
+            if cls.size == 1:
+                assert _class_bytes(cls) == _noda_class_bytes(matrix, cls.states[0])
+
+
+def test_left_perron_run_started_from_the_right_one_takes_few_solves(monkeypatch):
+    dec = lift_chain(moving_walk(0.45, 100, initial="101")).decomposition
+    cls = max(dec.classes, key=lambda c: c.size)
+    # each dense solve is tagged with the number of Noda runs begun before
+    # it: 1 for the right run and the left run's start, 2 for the left run
+    solve, noda = np.linalg.solve, spectral._noda
+    solves, starts = [], []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(starts)) or solve(a, b))
+    monkeypatch.setattr(spectral, "_noda", lambda A, x=None: starts.append(x) or noda(A, x))
+    lo, hi = cls.rho_bracket
+    assert lo <= cls.rho <= hi
+    assert starts[0] is None and starts[1] is not None
+    # the start costs one solve, counted with the right run
+    assert solves.count(2) + 1 <= 3
+    assert solves.count(1) >= 10  # the right run starts flat
+
+
+@pytest.mark.parametrize(
+    "poison",
+    [lambda z: -z, lambda z: np.where(np.arange(z.size) == 3, np.nan, z), lambda z: None],
+    ids=["negative", "nan", "singular"],
+)
+def test_a_left_start_that_is_not_finite_and_positive_falls_back_to_flat(poison, monkeypatch):
+    start, noda = spectral._left_start, spectral._noda
+    runs = []
+
+    def recording(A, x=None):
+        runs.append((A, x, noda(A, x)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(spectral, "_left_start", lambda *args: poison(start(*args)))
+    monkeypatch.setattr(spectral, "_noda", recording)
+    problem = sparse_periodic_chain(5)
+    Q = lift_chain(problem).survivor_csr
+    cls = max(decompose_classes(Q).classes, key=lambda c: c.size)
+    lo, hi = cls.rho_bracket
+    assert lo <= cls.rho <= hi
+    A, x, (left, left_lo, left_hi) = runs[1]
+    flat, flat_lo, flat_hi = noda(A)
+    assert left.tobytes() == flat.tobytes() and (left_lo, left_hi) == (flat_lo, flat_hi)
+
+
+def test_a_start_whose_first_solve_is_singular_runs_again_flat(monkeypatch):
+    # a start close enough to the Perron vector makes max(Ax/x) rho to
+    # working precision, and LU may find the Noda system exactly singular
+    rng = np.random.default_rng(3)
+    A = rng.uniform(0.0, 1.0, (6, 6))
+    start = rng.uniform(0.5, 1.0, 6)
+    solve, calls = np.linalg.solve, []
+
+    def singular_first(a, b):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_first)
+    x, lo, hi = spectral._noda(A, start)
+    monkeypatch.undo()
+    flat, flat_lo, flat_hi = spectral._noda(A)
+    assert x.tobytes() == flat.tobytes() and (lo, hi) == (flat_lo, flat_hi)
 
 
 def test_transient_singleton_has_rho_zero():
