@@ -9,10 +9,11 @@ cycle of conditioned laws off the peripheral eigensystem (certifying
 when no single limit exists), and provides an exact, eigenvalue-free
 recursion for conditioned time-average expectations used as ground truth
 throughout the test suite.  That recursion is one survival sweep over
-the CSR survivor matrix.  A step multiplies only the phase blocks that
-the requested horizons read, so horizons of one residue mod gamma cost
-O(n · nnz / gamma) to horizon n, and horizons of every residue O(n · nnz);
-the finite-horizon q-law in ``qprocess`` runs the same sweep.
+the CSR survivor matrix.  When the requested horizons share one residue
+mod gamma, a step multiplies only the phase block they read, so the
+sweep costs O(n · nnz / gamma) to horizon n; other horizon sets cost
+O(n · nnz).  The finite-horizon q-law in ``qprocess`` runs the same
+sweep.
 """
 
 from __future__ import annotations
@@ -320,51 +321,51 @@ def _survival_sweep(lifted, n_max: int, horizons, f=None):
     0 of ``V`` holds ``u_j``, and column 1, when ``f`` is given, ``s_j = f
     * u_j + Q s_{j-1}`` (``s_0 = 0``), both divided by ``2**exponent``.
     A horizon n reads ``u_n`` and ``s_n`` at phase 0, and these read step
-    j only at phase ``(n - j) mod gamma``.  So step j makes only the rows
-    of the phases ``(n - j) mod gamma`` for n in ``horizons``, each from
-    its phase block of ``Q``, cut once per call; the other rows of ``V``
-    are stale, and ``V`` is updated in place by the next step.  When the
-    horizons cover every residue mod gamma, a step is one CSR product of
-    ``Q``.  Each step divides the rows it made by the power of two at
-    their peak of u, which is exact and keeps u from underflowing, so the
-    values equal those of the full product and two horizons compare
-    through their exponents.
+    j only at phase ``(n - j) mod gamma``.  So when every horizon has one
+    residue r mod gamma, step j makes only the rows of phase ``(r - j) mod
+    gamma``, in place, from their phase block of ``Q``, cut once per
+    call; the other rows of ``V`` are stale.  Otherwise a step is one CSR
+    product of ``Q``.  Each step divides the rows it made by the power of
+    two at their peak of u, which is exact and keeps u from underflowing,
+    so the values equal those of the full product and two horizons
+    compare through their exponents.
     """
     Q, gamma = lifted.survivor_csr, lifted.gamma
     residues = {n % gamma for n in horizons}
-    full = len(residues) == gamma
     V = np.zeros((Q.shape[0], 1 if f is None else 2))
     V[:, 0] = 1.0
-    # plans[j % gamma]: (rows of V made at step j, their block of Q, the rows
-    # of V it reads, f on the rows made), as views that stay valid in place
-    if full:
-        plans = [[(V, Q, V, f)]] * gamma
-    else:
-        bounds = np.searchsorted(lifted.phase, np.arange(gamma + 1)).tolist()
-        rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        blocks = [Q[rows[p]][:, rows[(p + 1) % gamma]] for p in range(gamma)]
-        plans = [
-            [
-                (V[rows[p]], blocks[p], V[rows[(p + 1) % gamma]], None if f is None else f[rows[p]])
-                for p in sorted({(r - j) % gamma for r in residues})
-            ]
-            for j in range(gamma)
-        ]
     exponent = 0
     yield 0, V, exponent
-    for j in range(1, n_max + 1):
-        plan = plans[j % gamma]
-        products = [block @ source for _, block, source, _ in plan]
-        for (made, _, _, f_made), product in zip(plan, products):
-            made[:] = product
+    if len(residues) == 1 < gamma:
+        (r,) = residues
+        bounds = np.searchsorted(lifted.phase, np.arange(gamma + 1)).tolist()
+        rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        # steps[p]: the rows of V of phase p, their block of Q, the rows of
+        # V it reads and f on phase p, as views that stay valid in place
+        steps = [
+            (V[rows[p]], Q[rows[p]][:, rows[(p + 1) % gamma]], V[rows[(p + 1) % gamma]],
+             None if f is None else f[rows[p]])
+            for p in range(gamma)
+        ]
+        for j in range(1, n_max + 1):
+            made, block, source, f_made = steps[(r - j) % gamma]
+            made[:] = block @ source
             if f_made is not None:
                 made[:, 1] += f_made * made[:, 0]
-        peak = max(made[:, 0].max() for made, *_ in plan)
-        if full and peak <= 0.0:
-            raise NullEventError(f"no state survives {j} steps; the conditioning is null")
-        shift = math.frexp(peak)[1]  # 0 when the rows made all died
-        for made, *_ in plan:
+            shift = math.frexp(made[:, 0].max())[1]  # 0 when the rows all died
             np.ldexp(made, -shift, out=made)
+            exponent += shift
+            yield j, V, exponent
+        return
+    for j in range(1, n_max + 1):
+        V = Q @ V
+        if f is not None:
+            V[:, 1] += f * V[:, 0]
+        peak = V[:, 0].max()
+        if peak <= 0.0:
+            raise NullEventError(f"no state survives {j} steps; the conditioning is null")
+        shift = math.frexp(peak)[1]
+        np.ldexp(V, -shift, out=V)
         exponent += shift
         yield j, V, exponent
 
