@@ -9,10 +9,10 @@ cycle of conditioned laws off the peripheral eigensystem (certifying
 when no single limit exists), and provides an exact, eigenvalue-free
 recursion for conditioned time-average expectations used as ground truth
 throughout the test suite.  That recursion is one survival sweep over
-the CSR survivor matrix.  When the requested horizons share one residue
-mod gamma, a step multiplies only the phase block they read, so the
-sweep costs O(n · nnz / gamma) to horizon n; other horizon sets cost
-O(n · nnz).  The finite-horizon q-law in ``qprocess`` runs the same
+the CSR survivor matrix.  A step multiplies only the rows of the phases
+that the requested horizons read there, one per residue mod gamma among
+the horizons, so the sweep costs about O(n · nnz · (phases read) / gamma)
+to horizon n.  The finite-horizon q-law in ``qprocess`` runs the same
 sweep.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb, lcm
@@ -233,6 +234,14 @@ def _cyclic_solve(rho: float, A, B: np.ndarray, shift: int) -> np.ndarray:
     return spsolve(M, B.ravel(), permc_spec="NATURAL").reshape(B.shape) if B.size else B
 
 
+def _extend_to_descendants(dec, Q, i: int, L: np.ndarray) -> None:
+    """Extend the left laws ``L`` of class i, one row per cyclic class, in
+    place onto the classes W it reaches: ``rho L_{j+1} = L_j Q`` on W, rows
+    j mod ``len(L)`` (nonsingular, as W decays faster than class i)."""
+    W = np.flatnonzero(np.isin(dec.class_of, list(dec.reachable_from({i}))))
+    L[:, W] = _cyclic_solve(dec.classes[i].rho, Q[W][:, W].T, np.roll(L, 1, axis=0) @ Q[:, W], -1)
+
+
 def _peripheral_laws(lifted, i: int, live: set[int], T: int) -> np.ndarray:
     """Lifted laws ``mu Pi_r``, r < T, of the peripheral projector of class i.
 
@@ -249,12 +258,11 @@ def _peripheral_laws(lifted, i: int, live: set[int], T: int) -> np.ndarray:
     R, L = np.zeros((2, cls.period, len(mu)))
     R[cls.cyclic, list(cls.states)], L[cls.cyclic, list(cls.states)] = cls.xi, cls.nu
 
-    # U: live ancestors of class i, W: its descendants
+    # U: live ancestors of class i; the descendants W take L's extension
     ancestors = dec.reachable_from({i}, reverse=True) & live
     U = np.flatnonzero(np.isin(dec.class_of, list(ancestors)))
-    W = np.flatnonzero(np.isin(dec.class_of, list(dec.reachable_from({i}))))
     R_U = _cyclic_solve(cls.rho, Q[U][:, U], np.roll(R, -1, axis=0) @ Q[U].T, 1)
-    L[:, W] = _cyclic_solve(cls.rho, Q[W][:, W].T, np.roll(L, 1, axis=0) @ Q[:, W], -1)
+    _extend_to_descendants(dec, Q, i, L)
     weights = cls.period * (R @ mu + R_U @ mu[U])
     return np.array([weights @ np.roll(L, -r, axis=0) for r in range(T)])
 
@@ -321,53 +329,50 @@ def _survival_sweep(lifted, n_max: int, horizons, f=None):
     0 of ``V`` holds ``u_j``, and column 1, when ``f`` is given, ``s_j = f
     * u_j + Q s_{j-1}`` (``s_0 = 0``), both divided by ``2**exponent``.
     A horizon n reads ``u_n`` and ``s_n`` at phase 0, and these read step
-    j only at phase ``(n - j) mod gamma``.  So when every horizon has one
-    residue r mod gamma, step j makes only the rows of phase ``(r - j) mod
-    gamma``, in place, from their phase block of ``Q``, cut once per
-    call; the other rows of ``V`` are stale.  Otherwise a step is one CSR
-    product of ``Q``.  Each step divides the rows it made by the power of
-    two at their peak of u, which is exact and keeps u from underflowing,
-    so the values equal those of the full product and two horizons
-    compare through their exponents.
+    j only at phase ``(n - j) mod gamma``.  So step j makes only the rows
+    of those phases, n in ``horizons``, by one product of their rows of
+    ``Q``, cut once per call; phase p reads only phase p + 1, the rows
+    made one step before, and the other rows of ``V`` are stale.  Each
+    step divides the rows it made by the power of two at their peak of u,
+    which is exact and keeps u from underflowing, so the values equal
+    those of the full product and two horizons compare through their
+    exponents.  A step that makes every row raises NullEventError when
+    none survives.
     """
     Q, gamma = lifted.survivor_csr, lifted.gamma
     residues = {n % gamma for n in horizons}
+    # step j makes the same rows as step j + d
+    d = next(d for d in range(1, gamma + 1) if {(r + d) % gamma for r in residues} == residues)
+    steps = []
+    for k in range(d):
+        rows = np.flatnonzero(np.isin(lifted.phase, [(r - k) % gamma for r in residues]))
+        if rows[-1] - rows[0] + 1 == rows.size:  # one run: write back through a slice
+            rows = slice(rows[0], rows[-1] + 1)
+        steps.append((rows, Q[rows], None if f is None else f[rows]))
     V = np.zeros((Q.shape[0], 1 if f is None else 2))
     V[:, 0] = 1.0
     exponent = 0
     yield 0, V, exponent
-    if len(residues) == 1 < gamma:
-        (r,) = residues
-        bounds = np.searchsorted(lifted.phase, np.arange(gamma + 1)).tolist()
-        rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        # steps[p]: the rows of V of phase p, their block of Q, the rows of
-        # V it reads and f on phase p, as views that stay valid in place
-        steps = [
-            (V[rows[p]], Q[rows[p]][:, rows[(p + 1) % gamma]], V[rows[(p + 1) % gamma]],
-             None if f is None else f[rows[p]])
-            for p in range(gamma)
-        ]
-        for j in range(1, n_max + 1):
-            made, block, source, f_made = steps[(r - j) % gamma]
-            made[:] = block @ source
-            if f_made is not None:
-                made[:, 1] += f_made * made[:, 0]
-            shift = math.frexp(made[:, 0].max())[1]  # 0 when the rows all died
-            np.ldexp(made, -shift, out=made)
-            exponent += shift
-            yield j, V, exponent
-        return
     for j in range(1, n_max + 1):
-        V = Q @ V
-        if f is not None:
-            V[:, 1] += f * V[:, 0]
-        peak = V[:, 0].max()
-        if peak <= 0.0:
+        rows, block, f_made = steps[j % d]
+        made = block @ V
+        if f_made is not None:
+            made[:, 1] += f_made * made[:, 0]
+        peak = made[:, 0].max()
+        if peak <= 0.0 and len(made) == len(V):
             raise NullEventError(f"no state survives {j} steps; the conditioning is null")
-        shift = math.frexp(peak)[1]
-        np.ldexp(V, -shift, out=V)
+        shift = math.frexp(peak)[1]  # 0 when the rows made all died
+        V[rows] = np.ldexp(made, -shift, out=made)
         exponent += shift
         yield j, V, exponent
+
+
+def _horizon(n) -> int:
+    """``n`` as an int; a value that is not an integer raises ValueError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"horizons must be integers, got {n!r}") from None
 
 
 def exact_mean_ratio(problem: AbsorbedChainProblem, f, n: int) -> float:
@@ -377,15 +382,15 @@ def exact_mean_ratio(problem: AbsorbedChainProblem, f, n: int) -> float:
     recursion on the lifted survivor matrix: with ``u_j`` the survival
     probabilities over ``j`` steps and ``s_j`` the f-weighted survival
     sums, ``u_j = Q u_{j-1}`` and ``s_j = f * u_j + Q s_{j-1}``.  Exact up
-    to float round-off, cost ``O(n * nnz)`` for the ``nnz`` stored
-    nonzeros of the CSR survivor matrix.
+    to float round-off, cost ``O(n * nnz / gamma)`` for the ``nnz`` stored
+    nonzeros of the CSR survivor matrix, as each step makes one phase.
     """
     return float(mean_ratio_curve(problem, f, [n])[0])
 
 
 def mean_ratio_curve(problem: AbsorbedChainProblem, f, ns) -> np.ndarray:
     """Exact conditioned time-averages at several horizons in one sweep."""
-    ns = [int(n) for n in ns]
+    ns = [_horizon(n) for n in ns]
     if not ns or min(ns) < 1:
         raise ValueError("horizons must be positive" if ns else "the horizon list is empty")
     fvec = state_function(problem, f)
@@ -516,13 +521,12 @@ def qsd_fixed_point_search(
         for i, cls in enumerate(dec.classes):
             if cls.rho <= 0.0:
                 continue
-            live, tied = dec.dominant_classes({i})
+            _, tied = dec.dominant_classes({i})
             if tied != [i]:
                 continue  # not distinguished: no nonnegative eigenvector starts here
             law = np.zeros((1, Q.shape[0]))
             law[0, list(cls.states)] = cls.nu
-            W = np.flatnonzero(np.isin(dec.class_of, list(live - {i})))
-            law[:, W] = _cyclic_solve(cls.rho, Q[W][:, W].T, law @ Q[:, W], -1)
+            _extend_to_descendants(dec, Q, i, law)
             dist = Distribution(dict(zip(problem.survivors(m), law[0] / law.sum())))
             if all(dist.tv_distance(c[2]) > _SAME_LAW_TV for c in candidates):
                 candidates.append((m, cls.rho, dist))

@@ -117,22 +117,28 @@ def qed_fixed(
 
     ``eta`` weights state i of the dominant class by ``nu(i) * xi(i)``
     (zero elsewhere); the conditioned time average of ``f`` converges to
-    ``sum(f * eta)``.
+    ``sum(f * eta)``.  ``labels`` name the states of ``eta_distribution``,
+    one distinct label each (default ``"0", "1", ...``).
     """
     Q = np.asarray(Q, dtype=float)
     decomposition = decompose_classes(Q)
+    n = Q.shape[0]
+    labels = tuple(str(i) for i in range(n)) if labels is None else tuple(labels)
+    if len(set(labels)) != len(labels) or len(labels) != n:
+        raise ValidationError(
+            f"labels must name the {n} states once each, got {len(labels)} "
+            f"labels of which {len(set(labels))} distinct"
+        )
     selection = select_dominant(decomposition, mu)
     cls = selection.selected(decomposition)
-    eta = _eta_on_class(cls, Q.shape[0])
-    if labels is None:
-        labels = tuple(str(i) for i in range(Q.shape[0]))
+    eta = _eta_on_class(cls, n)
     dist = Distribution(
         {lab: float(w) for lab, w in zip(labels, eta) if w != 0.0}
     )
     phi = None
     if f is not None:
         f = np.asarray(f, dtype=float)
-        if f.shape != (Q.shape[0],):
+        if f.shape != (n,):
             raise ValidationError("f must have one value per matrix state")
         phi = float(f @ eta)
     return QedResult(decomposition, selection, eta, dist, phi)

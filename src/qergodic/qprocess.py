@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import AbsorbedChainProblem, lift_chain
-from .conditioning import _survival_sweep
+from .conditioning import _horizon, _survival_sweep
 from .errors import NullEventError, ValidationError
 from .qed import select_dominant
 
@@ -139,6 +139,7 @@ def build_qprocess(problem: AbsorbedChainProblem, x: str) -> QProcessKernel:
     row sums to 1 by the Perron identity of the class (deviations beyond
     round-off are reported on the result before exact renormalization).
     """
+    problem.space.index(x)
     lifted = lift_chain(problem)
     if (x, 0) not in lifted.survivor_index:
         raise ValidationError(
@@ -166,12 +167,12 @@ def finite_horizon_qlaw(
     on the CSR survivor matrix; as the horizon m grows this converges to
     the conditioned-forever cylinder probability.
     """
-    cylinder = list(cylinder)
+    cylinder, m = list(cylinder), _horizon(m)
     n = len(cylinder)
     if m < n:
         raise ValueError("horizon must be at least the cylinder length")
     space = problem.space
-    for label in cylinder:
+    for label in [x, *cylinder]:
         space.index(label)
     lifted = lift_chain(problem)
     gamma = lifted.gamma

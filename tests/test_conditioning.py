@@ -49,6 +49,7 @@ from _chains import (
     permuted_problem,
     random_problem,
     simplex_grid_recursive,
+    sparse_periodic_chain,
     survival_paths,
     survivor_restriction,
     swap_with_killing,
@@ -398,19 +399,21 @@ def _phase_sweep_cases():
     rng = np.random.default_rng(11)
     draws = [random_problem(rng, gamma=int(rng.integers(2, 4))) for _ in range(6)]
     return [moving_walk(0.45, 30), moving_walk(0.3, 25, initial="25"), expander_chain(60),
-            moving_walk(0.1, 350), *draws]
+            moving_walk(0.1, 350), *draws, sparse_periodic_chain(1)]
 
 
 @pytest.mark.parametrize("problem", _phase_sweep_cases(),
                          ids=["walk-30", "walk-25", "expander-60", "walk-0.1-350",
-                              *(f"random-{i}" for i in range(6))])
+                              *(f"random-{i}" for i in range(6)), "sparse-1"])
 def test_a_sweep_over_the_phases_a_horizon_reads_is_bit_equal_to_the_full_sweep(
     problem, full_sweeps
 ):
     labels, gamma = problem.space.labels, problem.gamma
     f = {x: float(i % 5) - 1.5 for i, x in enumerate(labels)}
-    # one horizon at each residue, mixed horizons, and the first 3 * gamma
-    curves = [[n] for n in range(57, 57 + gamma)] + [[3, 8, 4 + gamma], list(range(1, 3 * gamma + 1))]
+    # one horizon at each residue, mixed horizons (two residues of gamma = 5
+    # in [57, 58]), and the first 3 * gamma
+    curves = [[n] for n in range(57, 57 + gamma)] + [
+        [57, 58], [3, 8, 4 + gamma], list(range(1, 3 * gamma + 1))]
     lifted = lift_chain(problem)
     x = next(x for x, k in lifted.survivors if k == 0)
     row = problem.kernel.normalized[problem.space.index(x)]
@@ -525,6 +528,21 @@ def test_mean_ratio_rejects_an_empty_horizon_list(tmp_path):
     with pytest.raises(ValueError, match="horizon list is empty"):
         write_mean_ratio_csv(n3_walk(), {"3": 1.0}, 0, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "2"])
+def test_a_horizon_that_is_not_an_integer_is_rejected(n):
+    problem = moving_walk(0.45, 10)
+    f = {x: 1.0 for x in problem.space.labels}
+    with pytest.raises(ValueError, match=r"^horizons must be integers"):
+        mean_ratio_curve(problem, f, [3, n])
+    with pytest.raises(ValueError, match=r"^horizons must be integers"):
+        exact_mean_ratio(problem, f, n)
+    with pytest.raises(ValueError, match=r"^horizons must be integers"):
+        finite_horizon_qlaw(problem, "1", ["2"], n)
+    # numpy integers are integers
+    assert mean_ratio_curve(problem, f, np.array([2, 3])).tolist() == [
+        exact_mean_ratio(problem, f, 2), exact_mean_ratio(problem, f, np.int32(3))]
 
 
 def test_mean_ratio_deep_horizon_rescaling():

@@ -6,6 +6,7 @@ from qergodic import (
     Distribution,
     Hypothesis1Error,
     NullEventError,
+    ValidationError,
     decompose_classes,
     exact_mean_ratio,
     lift_chain,
@@ -151,6 +152,15 @@ def test_qed_fixed_constant_function_gives_one():
     Q = survivor_matrix_fixed(0.4, 5)
     result = qed_fixed(Q, np.full(5, 0.2), np.ones(5))
     assert result.phi == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("labels", [("a",), ("a", "b", "c", "d"), ("a", "b", "a")])
+def test_qed_fixed_wants_one_distinct_label_per_state(labels):
+    Q = survivor_matrix_fixed(0.5, 3)
+    with pytest.raises(ValidationError, match=r"^labels must name the 3 states once each"):
+        qed_fixed(Q, np.full(3, 1 / 3), labels=labels)
+    names = qed_fixed(Q, np.full(3, 1 / 3), labels=("a", "b", "c")).eta_distribution.weights
+    assert sorted(names) == ["a", "b", "c"]
 
 
 def test_qed_moving_n3_odd_start():

@@ -110,6 +110,16 @@ def test_build_qprocess_rejects_absorbed_start():
         build_qprocess(n3_walk(), "0")
 
 
+def test_an_unknown_start_label_is_named_as_unknown():
+    problem = n3_walk()
+    with pytest.raises(ValidationError, match=r"^unknown state label 'zzz'$"):
+        build_qprocess(problem, "zzz")
+    with pytest.raises(ValidationError, match=r"^unknown state label 'zzz'$"):
+        finite_horizon_qlaw(problem, "zzz", ["2"], 10)
+    with pytest.raises(ValidationError, match=r"^state '0' is absorbed at phase 0"):
+        finite_horizon_qlaw(problem, "0", ["1"], 10)
+
+
 def test_dominant_kernel_matches_explicit_start():
     problem = n3_walk(0.4, start="3")
     a = build_qprocess(problem, "3")
