@@ -9,8 +9,8 @@ survive forever, closed-form random-walk oracles, and a reproducible
 Monte Carlo engine for cross-checking every spectral prediction.
 
 Importing the package loads numpy only.  scipy is imported on first use
-by the lift's survivor matrix, the class decomposition and the limit
-cycle's peripheral solves, so the Monte Carlo path never loads it.
+by the lift's survivor matrix, the class decomposition and the
+decomposition's extension solve, so the Monte Carlo path never loads it.
 """
 
 from .chain import (

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb, lcm
@@ -29,7 +30,7 @@ import numpy as np
 
 from .chain import AbsorbedChainProblem, Distribution, lift_chain
 from .errors import ConvergenceError, Hypothesis1Error, NullEventError, ValidationError
-from .spectral import _as_csr, decompose_classes
+from .spectral import decompose_classes
 
 __all__ = [
     "CollapsedChain",
@@ -63,7 +64,7 @@ def state_function(problem: AbsorbedChainProblem, f) -> np.ndarray:
     labels = problem.space.labels
     if callable(f):
         arr = np.array([float(f(x)) for x in labels])
-    elif isinstance(f, dict):
+    elif isinstance(f, Mapping):
         unknown = sorted(k for k in f if k not in problem.space)
         if unknown:
             raise ValidationError(f"state function names unknown states {unknown}")
@@ -150,6 +151,7 @@ def conditional_law_sequence(
 
 def _law_vectors(problem, n_max: int, mu=None) -> list[np.ndarray]:
     """The laws of :func:`conditional_law_sequence` as state-space vectors."""
+    n_max = _horizon(n_max)
     if n_max < 0:
         raise ValueError("horizon must be nonnegative")
     P = problem.kernel.normalized
@@ -223,47 +225,25 @@ class QldCycle:
         return "no quasi-limiting distribution: conditioned laws cycle"
 
 
-def _cyclic_solve(rho: float, A, B: np.ndarray, shift: int) -> np.ndarray:
-    """``Y`` with ``rho Y[j] - A Y[j + shift] = B[j]``, rows j mod ``len(B)``."""
-    from scipy import sparse
-    from scipy.sparse.linalg import spsolve
-
-    cyclic = sparse.kron(np.roll(np.eye(len(B)), shift, axis=1), A)
-    M = sparse.csc_matrix(rho * sparse.identity(B.size) - cyclic)
-    # SuperLU's COLAMD order took 13 s, natural 0.5 s, on qld_cycle(ladder_chain(2000))
-    return spsolve(M, B.ravel(), permc_spec="NATURAL").reshape(B.shape) if B.size else B
-
-
-def _extend_to_descendants(dec, Q, i: int, L: np.ndarray) -> None:
-    """Extend the left laws ``L`` of class i, one row per cyclic class, in
-    place onto the classes W it reaches: ``rho L_{j+1} = L_j Q`` on W, rows
-    j mod ``len(L)`` (nonsingular, as W decays faster than class i)."""
-    W = np.flatnonzero(np.isin(dec.class_of, list(dec.reachable_from({i}))))
-    L[:, W] = _cyclic_solve(dec.classes[i].rho, Q[W][:, W].T, np.roll(L, 1, axis=0) @ Q[:, W], -1)
-
-
 def _peripheral_laws(lifted, i: int, live: set[int], T: int) -> np.ndarray:
     """Lifted laws ``mu Pi_r``, r < T, of the peripheral projector of class i.
 
     ``Pi_r = sum_k omega_k^r r_k l_k``, with ``r_k = (lambda_k - Q_UU)^{-1}
     Q_UD w_k`` on the ancestors U and ``l_k = v_k Q_DW (lambda_k - Q_WW)^{-1}``
     on the descendants W, sums over k to ``T_i sum_j R_j L_{j+r}``: ``xi``
-    and ``nu`` on the cyclic class C_j, ``rho R_j = Q R_{j+1}`` on U and
-    ``rho L_{j+1} = L_j Q`` on W (nonsingular, as U and W decay faster).
-    The terms are nonnegative, so no rounding lands on uncharged states.
+    and ``nu`` on the cyclic class C_j, which ``ClassDecomposition.extend``
+    extends by ``rho R_j = Q R_{j+1}`` onto U and ``rho L_{j+1} = L_j Q``
+    onto W.  The terms are nonnegative, so no rounding lands on uncharged
+    states.
     """
-    dec, Q = lifted.decomposition, lifted.survivor_csr
-    mu = lifted.normalized_initial()
+    dec, mu = lifted.decomposition, lifted.normalized_initial()
     cls = dec.classes[i]
     R, L = np.zeros((2, cls.period, len(mu)))
     R[cls.cyclic, list(cls.states)], L[cls.cyclic, list(cls.states)] = cls.xi, cls.nu
-
-    # U: live ancestors of class i; the descendants W take L's extension
-    ancestors = dec.reachable_from({i}, reverse=True) & live
-    U = np.flatnonzero(np.isin(dec.class_of, list(ancestors)))
-    R_U = _cyclic_solve(cls.rho, Q[U][:, U], np.roll(R, -1, axis=0) @ Q[U].T, 1)
-    _extend_to_descendants(dec, Q, i, L)
-    weights = cls.period * (R @ mu + R_U @ mu[U])
+    # only live ancestors: one the start never reaches may tie class i's rate
+    dec.extend(i, R, dec.reachable_from({i}, reverse=True) & live)
+    dec.extend(i, L)
+    weights = cls.period * (R @ mu)
     return np.array([weights @ np.roll(L, -r, axis=0) for r in range(T)])
 
 
@@ -516,17 +496,16 @@ def qsd_fixed_point_search(
 
     candidates: list[tuple[int, float, Distribution]] = []
     for m, alive in enumerate(problem.alive):
-        Q = _as_csr(P[np.ix_(alive, alive)])
-        dec = decompose_classes(Q)
+        dec = decompose_classes(P[np.ix_(alive, alive)])
         for i, cls in enumerate(dec.classes):
             if cls.rho <= 0.0:
                 continue
             _, tied = dec.dominant_classes({i})
             if tied != [i]:
                 continue  # not distinguished: no nonnegative eigenvector starts here
-            law = np.zeros((1, Q.shape[0]))
+            law = np.zeros((1, dec.class_of.size))
             law[0, list(cls.states)] = cls.nu
-            _extend_to_descendants(dec, Q, i, law)
+            dec.extend(i, law)
             dist = Distribution(dict(zip(problem.survivors(m), law[0] / law.sum())))
             if all(dist.tv_distance(c[2]) > _SAME_LAW_TV for c in candidates):
                 candidates.append((m, cls.rho, dist))
@@ -581,6 +560,7 @@ def write_mean_ratio_csv(problem: AbsorbedChainProblem, f, n_max: int, path) -> 
     writes it.  Returns the curve it wrote, entry ``n - 1`` for horizon
     ``n``.
     """
+    n_max = _horizon(n_max)
     values = mean_ratio_curve(problem, f, range(1, n_max + 1))
     _write_table(path, ["n", "mean_ratio"], [range(1, n_max + 1)], values[:, None])
     return values

@@ -21,6 +21,7 @@ as one row-stochastic matrix on the class, with no state killed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,12 @@ class SimConfig:
     shards: int = 1
 
     def __post_init__(self):
+        for name in ("seed", "trajectories", "horizon", "shards"):
+            value = getattr(self, name)
+            try:  # kept as an int: a numpy seed would overflow the key mixing
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
         if self.trajectories < 1 or self.horizon < 0 or self.shards < 1:
             raise ValidationError(
                 "trajectories and shards must be positive, horizon nonnegative"

@@ -154,11 +154,13 @@ class ClassDecomposition:
     ``class_of[s]`` is the class of state s.  ``graph``, the C x C CSR
     condensation, has ``graph[a, b] = 1`` exactly when a state of class a
     moves directly into class b != a; it answers all reachability queries.
+    ``matrix``, the decomposed matrix in CSR form, feeds :meth:`extend`.
     """
 
     classes: tuple[IrreducibleClass, ...]
     class_of: np.ndarray
     graph: sparse.csr_array
+    matrix: sparse.csr_array
 
     def reachable_from(self, class_ids, reverse: bool = False) -> set[int]:
         """Classes reachable from the given ones, or with ``reverse`` those
@@ -190,6 +192,25 @@ class ClassDecomposition:
             )
         floor = rho_max * (1.0 - RHO_TIE_RTOL)
         return live, [i for i in sorted(live) if self.classes[i].rho >= floor]
+
+    def extend(self, i: int, V: np.ndarray, ancestors=None) -> None:
+        """Extend class i's cyclic rows ``V`` (rows j mod ``len(V)``) in
+        place: left laws onto every class i reaches, ``rho V_{j+1} = V_j Q``,
+        or right vectors, zero on the ``ancestors`` given, onto those, ``rho
+        V_j = Q V_{j+1}``; nonsingular when they decay faster than class i."""
+        from scipy import sparse
+        from scipy.sparse.linalg import spsolve
+
+        Q, left = self.matrix, ancestors is None
+        targets = self.reachable_from({i}) if left else ancestors
+        S = np.flatnonzero(np.isin(self.class_of, list(targets)))
+        if S.size:  # X_j = V_j on S: rho X_j - A X_{j-1} (left), A X_{j+1} (right) = B_j
+            A = Q[S][:, S].T if left else Q[S][:, S]
+            B = np.roll(V, 1, axis=0) @ Q[:, S] if left else np.roll(V, -1, axis=0) @ Q[S].T
+            cyclic = sparse.kron(np.roll(np.eye(len(V)), -1 if left else 1, axis=1), A)
+            M = sparse.csc_matrix(self.classes[i].rho * sparse.identity(B.size) - cyclic)
+            # SuperLU's COLAMD order took 13 s, natural 0.5 s, on qld_cycle(ladder_chain(2000))
+            V[:, S] = spsolve(M, B.ravel(), permc_spec="NATURAL").reshape(B.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +434,7 @@ def decompose_classes(Q) -> ClassDecomposition:
     from one class-ordered permutation of ``Q``, and the one-state classes
     are made in bulk from its diagonal, with no block cut (a 1 x 1 CSR
     slice costs tens of microseconds, and a long transient chain has
-    thousands of them).  The condensation ``graph`` joins the classes.
+    thousands of them).  ``graph`` joins the classes; ``matrix`` keeps ``Q``.
     Each class solves its Perron data the first time it is read, so a
     caller pays only for the classes it reads: the dominant-class rule
     reads ``rho`` on the classes the start reaches, and QED and the
@@ -442,7 +463,7 @@ def decompose_classes(Q) -> ClassDecomposition:
     pairs = np.unique(class_of[rows] * C + class_of[cols])  # a -> b as a * C + b
     pairs = pairs[pairs // C != pairs % C]
     graph = sparse.csr_array((np.ones(pairs.size), divmod(pairs, C)), shape=(C, C))
-    return ClassDecomposition(classes, class_of, graph)
+    return ClassDecomposition(classes, class_of, graph, Q)
 
 
 def peripheral_system(cls: IrreducibleClass) -> PeripheralSystem:

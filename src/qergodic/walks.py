@@ -38,6 +38,7 @@ __all__ = [
     "moving_walk_qed",
     "moving_walk_rho",
     "qprocess_closed_form",
+    "survivor_matrix_fixed",
 ]
 
 

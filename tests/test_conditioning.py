@@ -1,4 +1,5 @@
 import csv
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -326,6 +327,24 @@ def test_qld_cycle_with_upstream_and_downstream_classes(ring):
     assert all(d.weights["d"] > 0.0 for d in cycle.distributions)
 
 
+def test_qld_cycle_extends_only_onto_live_ancestors():
+    # z feeds the ring b <-> c at the ring's own rate 0.9, and the start b
+    # never reaches z: an extension onto z would be singular
+    rows = [
+        [0.9, 0.05, 0.0, 0.0, 0.05],
+        [0.0, 0.0, 0.9, 0.05, 0.05],
+        [0.0, 0.9, 0.0, 0.0, 0.1],
+        [0.0, 0.0, 0.0, 0.5, 0.5],
+    ]
+    problem = trap_chain(("z", "b", "c", "d"), rows, Distribution.point_mass("b"))
+    cycle = qld_cycle(problem)
+    assert cycle.period == 2
+    want = [{"c": 112 / 121, "d": 9 / 121}, {"b": 112 / 117, "d": 5 / 117}]
+    for dist, law in zip(cycle.distributions, want, strict=True):
+        assert dist.support() == set(law)
+        assert {x: dist.weights[x] for x in law} == pytest.approx(law, rel=0.0, abs=1e-12)
+
+
 def test_qld_cycle_on_a_long_transient_ladder():
     # 139 transient singleton classes feed the ring: the ancestor set of
     # the dominant class spans almost every state
@@ -531,7 +550,7 @@ def test_mean_ratio_rejects_an_empty_horizon_list(tmp_path):
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, "2"])
-def test_a_horizon_that_is_not_an_integer_is_rejected(n):
+def test_a_horizon_that_is_not_an_integer_is_rejected(n, tmp_path):
     problem = moving_walk(0.45, 10)
     f = {x: 1.0 for x in problem.space.labels}
     with pytest.raises(ValueError, match=r"^horizons must be integers"):
@@ -540,6 +559,18 @@ def test_a_horizon_that_is_not_an_integer_is_rejected(n):
         exact_mean_ratio(problem, f, n)
     with pytest.raises(ValueError, match=r"^horizons must be integers"):
         finite_horizon_qlaw(problem, "1", ["2"], n)
+    with pytest.raises(ValueError, match=r"^horizons must be integers"):
+        conditional_law(problem, n)
+    with pytest.raises(ValueError, match=r"^horizons must be integers"):
+        conditional_law_sequence(problem, n)
+    for write in (
+        lambda path: write_mean_ratio_csv(problem, f, n, path),
+        lambda path: write_conditional_laws_csv(problem, n, path),
+    ):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match=r"^horizons must be integers"):
+            write(path)
+        assert not path.exists()
     # numpy integers are integers
     assert mean_ratio_curve(problem, f, np.array([2, 3])).tolist() == [
         exact_mean_ratio(problem, f, 2), exact_mean_ratio(problem, f, np.int32(3))]
@@ -865,9 +896,22 @@ def test_composition_equals_sequence(seed, n):
 )
 def test_state_function_that_is_not_finite_is_rejected(entry, value):
     problem = n3_walk(0.5, start="3")
-    for f in ({"4": value, "2": value}, lambda x: value if x in "24" else 1.0):
+    mapping = {"4": value, "2": value}
+    for f in (mapping, MappingProxyType(mapping), lambda x: value if x in "24" else 1.0):
         with pytest.raises(ValidationError) as info:
             entry(problem, f)
         assert str(info.value) == (
             f"state function is not finite at state '2': {float(value)!r}"
         )
+
+
+def test_a_read_only_mapping_is_a_state_function():
+    # Distribution.weights is a read-only mapping
+    problem = moving_walk(0.45, 5, initial="5")
+    f = Distribution({"5": 1.0, "3": 0.5}).weights
+    assert isinstance(f, MappingProxyType)
+    assert qed_moving(problem, f).phi == qed_moving(problem, dict(f)).phi
+    assert mean_ratio_curve(problem, f, [4, 7]).tolist() == (
+        mean_ratio_curve(problem, dict(f), [4, 7]).tolist())
+    with pytest.raises(ValidationError, match="unknown states"):
+        mean_ratio_curve(problem, MappingProxyType({"zzz": 1.0}), [4])

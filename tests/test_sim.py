@@ -317,11 +317,23 @@ def test_qprocess_stream_matches_per_path_reference(name):
     assert simulate_qprocess(kernel, x, steps=25, seed=41, paths=30) == expected
 
 
-@pytest.mark.parametrize("steps, paths", [(-1, 5), (10, 0)])
+@pytest.mark.parametrize("steps, paths", [(-1, 5), (10, 0), (2.5, 5), (10, 2.5)])
 def test_qprocess_simulation_rejects_empty_runs(steps, paths):
     kernel = qprocess_closed_form(0.45, 3, "odd")
     with pytest.raises(ValidationError):
         simulate_qprocess(kernel, "3", steps=steps, seed=1, paths=paths)
+
+
+def test_estimate_conditionals_rejects_a_config_that_is_not_integer():
+    problem = n3_walk(0.5)
+    for args in [(1.5, 10, 5), (1, 10.5, 5), (1, 10, 5.5), (1, 10, 5, 2.5)]:
+        with pytest.raises(ValidationError, match=r"must be an integer, got"):
+            estimate_conditionals(problem, {"3": 1.0}, SimConfig(*args))
+    # numpy integers are integers
+    config = SimConfig(np.int64(1), np.int32(400), np.int64(5), np.int64(2))
+    want = estimate_conditionals(problem, {"3": 1.0}, SimConfig(1, 400, 5, 2))
+    got = estimate_conditionals(problem, {"3": 1.0}, config)
+    assert got.mean_ratio == want.mean_ratio
 
 
 @st.composite

@@ -27,6 +27,7 @@ from qergodic.cli import main
 from _chains import (
     chained_tie,
     class_edges,
+    feeder_ring_sink,
     k2_walk,
     k5_walk,
     ladder_chain,
@@ -375,6 +376,48 @@ def test_cyclic_classes_are_respected_by_one_step():
                         for t in np.flatnonzero(sub[cls.position(s)] > 0)
                     }
                     assert targets <= nxt
+
+
+def _dense_extension(Q, rho, V, S, left):
+    """Rows of V on S from a dense solve of ``rho I - shift (x) Q_SS``."""
+    T, Q_SS = len(V), Q[np.ix_(S, S)]
+    if left:  # rho V_j = V_{j-1} Q
+        shift, A, B = np.roll(np.eye(T), -1, axis=1), Q_SS.T, np.roll(V, 1, 0) @ Q[:, S]
+    else:  # rho V_j = Q V_{j+1}
+        shift, A, B = np.roll(np.eye(T), 1, axis=1), Q_SS, np.roll(V, -1, 0) @ Q[S].T
+    M = rho * np.eye(T * len(S)) - np.kron(shift, A)
+    return np.linalg.solve(M, B.ravel()).reshape(T, len(S))
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [feeder_ring_sink(("b", "c")), feeder_ring_sink(("b", "c", "e")), ladder_chain(40)],
+    ids=["ring2", "ring3", "ladder40"],
+)
+def test_extension_matches_a_dense_cyclic_solve(problem):
+    lifted = lift_chain(problem)
+    dec, Q = lifted.decomposition, lifted.survivor_matrix
+    _, (i,) = dec.dominant_classes(dec.class_of[lifted.initial_vector > 0.0])
+    cls = dec.classes[i]
+    for left, targets, vector in [
+        (True, dec.reachable_from({i}), cls.nu),
+        (False, dec.reachable_from({i}, reverse=True), cls.xi),
+    ]:
+        V = np.zeros((cls.period, len(Q)))
+        V[cls.cyclic, list(cls.states)] = vector
+        given = V.copy()
+        dec.extend(i, V, set())  # no ancestors: nothing to do
+        assert np.array_equal(V, given)
+        dec.extend(i, V, None if left else targets)
+        S = np.flatnonzero(np.isin(dec.class_of, list(targets)))
+        rest = np.setdiff1d(np.arange(len(Q)), S)
+        assert np.array_equal(V[:, rest], given[:, rest])
+        if not S.size:  # the ladder's ring feeds no class
+            continue
+        want = _dense_extension(Q, cls.rho, given, S, left)
+        np.testing.assert_allclose(V[:, S], want, rtol=1e-12, atol=0.0)
+        image = np.roll(V, 1, 0) @ Q if left else np.roll(V, -1, 0) @ Q.T
+        np.testing.assert_allclose(cls.rho * V[:, S], image[:, S], rtol=1e-12, atol=0.0)
 
 
 def test_peripheral_k2_twisting():
