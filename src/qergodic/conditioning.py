@@ -9,11 +9,15 @@ cycle of conditioned laws off the peripheral eigensystem (certifying
 when no single limit exists), and provides an exact, eigenvalue-free
 recursion for conditioned time-average expectations used as ground truth
 throughout the test suite.  That recursion is one survival sweep over
-the CSR survivor matrix.  A step multiplies only the rows of the phases
-that the requested horizons read there, one per residue mod gamma among
-the horizons, so the sweep costs about O(n · nnz · (phases read) / gamma)
-to horizon n.  The finite-horizon q-law in ``qprocess`` runs the same
-sweep.
+the CSR survivor matrix Q.  It advances k steps per product by the k-th
+power of the one-step map, built by repeated squaring, with k the power
+of two that counting multiply-adds picks for the steps the caller reads;
+each product makes only the rows of the phases that the requested
+horizons read there.  The sweep costs O((reads-chain length) ·
+nnz(Q^k)) plus the squarings, the chain being its products from step 0
+through the last read: about n/k of them to horizon n, each over
+(phases read) / gamma of the block.  A curve that reads every step gets
+k = 1.  The finite-horizon q-law in ``qprocess`` runs the same sweep.
 """
 
 from __future__ import annotations
@@ -302,54 +306,141 @@ def qld_cycle(problem: AbsorbedChainProblem) -> QldCycle:
     )
 
 
-def _survival_sweep(lifted, n_max: int, horizons, f=None):
-    """Survival vectors ``u_j = Q^j 1``, j = 0..n_max, on one shared scale.
+def _stride(A, phase, gamma, reads):
+    """The stride k of a survival sweep that takes the sorted ``reads``, and
+    the block ``A^k``.
 
-    ``Q`` is ``lifted.survivor_csr``.  Yields ``(j, V, exponent)``: column
-    0 of ``V`` holds ``u_j``, and column 1, when ``f`` is given, ``s_j = f
-    * u_j + Q s_{j-1}`` (``s_0 = 0``), both divided by ``2**exponent``.
+    Row i of the one-step block ``A`` sits at phase ``phase[i]``.  The
+    sweep goes from each read to the next by strides of ``A^k``, then by
+    unit steps of ``A``; the product that ends at step j makes the rows of
+    the phases ``(n - j) mod gamma``, n in ``reads``, and costs one
+    multiply-add per stored entry of those rows.  Squaring ``A^k`` costs,
+    for each stored entry (i, l), the stored entries of row l.  k starts
+    at 1 and doubles while one squaring costs fewer multiply-adds than it
+    saves over the products that take the reads.  The square is formed
+    only when the unit steps of stride 2k alone leave it room to pay.
+    The rows are counted as if each read were a horizon, so k depends on
+    the lift and the reads alone: a sweep that makes more phases takes
+    the same products, with the same values on the rows both make.
+    """
+    residues = {n % gamma for n in reads}
+    reads = np.asarray(reads)
+    gaps = np.diff(reads, prepend=0)
+
+    def cost(M, step, count, last):
+        """Multiply-adds of ``count[i]`` products of ``M`` by ``step``
+        steps, the last ending at step ``last[i]``."""
+        back = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        ends = np.repeat(last, count) - step * back
+        nnz = np.bincount(phase, weights=np.diff(M.indptr), minlength=gamma)
+        per_product = [sum(nnz[(r - q) % gamma] for r in residues) for q in range(gamma)]
+        return np.bincount(ends % gamma, minlength=gamma) @ per_product
+
+    k, block = 1, A
+    work = cost(A, 1, gaps, reads)
+    while True:
+        squaring = np.diff(block.indptr)[block.indices].sum()
+        units = cost(A, 1, gaps % (2 * k), reads)
+        if squaring >= work - units:
+            return k, block
+        square = block @ block
+        doubled = units + cost(square, 2 * k, gaps // (2 * k), reads - gaps % (2 * k))
+        if squaring >= work - doubled:
+            return k, block
+        k, block, work = 2 * k, square, doubled
+
+
+def _survival_sweep(lifted, reads, horizons, f=None):
+    """Survival vectors ``u_j = Q^j 1`` at the steps j in ``reads``.
+
+    ``Q`` is ``lifted.survivor_csr``.  Yields ``(j, V, exponent)`` once
+    per distinct read, in increasing order: column 0 of ``V`` holds
+    ``u_j``, and column 1, when ``f`` is given, ``s_j = f * u_j + Q
+    s_{j-1}`` (``s_0 = 0``), both divided by ``2**exponent``; the next
+    step overwrites ``V``.  A step maps u and s by ``A = [[Q, 0], [diag(f)
+    Q, Q]]`` (``A = Q`` without ``f``), whose rows 2i and 2i + 1 are the
+    u and s rows of survivor i.  The sweep goes from each read to the
+    next by strides of ``A^k``, built by squaring, then by unit steps of
+    ``A``, with k from ``_stride``: it depends on the lift and the reads
+    alone, and a curve that reads every step gets k = 1.  The sweep costs
+    O((reads-chain length) * nnz(A^k)) plus the squarings, the chain
+    being its products from step 0 through the last read: about n/k of
+    them to horizon n.
+
     A horizon n reads ``u_n`` and ``s_n`` at phase 0, and these read step
-    j only at phase ``(n - j) mod gamma``.  So step j makes only the rows
-    of those phases, n in ``horizons``, by one product of their rows of
-    ``Q``, cut once per call; phase p reads only phase p + 1, the rows
-    made one step before, and the other rows of ``V`` are stale.  Each
-    step divides the rows it made by the power of two at their peak of u,
-    which is exact and keeps u from underflowing, so the values equal
-    those of the full product and two horizons compare through their
-    exponents.  A step that makes every row raises NullEventError when
-    none survives.
+    j only at phase ``(n - j) mod gamma``.  So the product that ends at
+    step j makes only the rows of those phases, n in ``horizons``, from
+    their rows of its block, cut once per distinct phase set and block;
+    it reads only the rows made by the product before, and the other rows
+    are stale.  Each product divides the rows it made by the power of two
+    at their peak of u, which is exact and keeps u from underflowing, so
+    the values equal those of the full product and two reads compare
+    through their exponents.  A product that makes every row raises
+    NullEventError, naming the first step that none survives, when none
+    does.
     """
     Q, gamma = lifted.survivor_csr, lifted.gamma
+    if f is None:
+        A, phase, width = Q, lifted.phase, 1
+    else:
+        from scipy import sparse
+
+        # row i of Q on the u columns makes row 2i; on the s columns, beside
+        # f_i times row i of Q on the u columns, row 2i + 1
+        ptr, shape = np.repeat(Q.indptr, 2), (2 * Q.shape[0],) * 2
+        fu = np.repeat(f, np.diff(Q.indptr)) * Q.data
+        A = (sparse.csr_array((Q.data, 2 * Q.indices, ptr[1:]), shape=shape)
+             + sparse.csr_array((fu, 2 * Q.indices, ptr[:-1]), shape=shape)
+             + sparse.csr_array((Q.data, 2 * Q.indices + 1, ptr[:-1]), shape=shape))
+        phase, width = np.repeat(lifted.phase, 2), 2
+    reads = sorted(set(reads))
+    k, block = _stride(A, phase, gamma, reads)
     residues = {n % gamma for n in horizons}
-    # step j makes the same rows as step j + d
+    # the product ending at step j makes the same rows as that ending at j + d
     d = next(d for d in range(1, gamma + 1) if {(r + d) % gamma for r in residues} == residues)
-    steps = []
-    for k in range(d):
-        rows = np.flatnonzero(np.isin(lifted.phase, [(r - k) % gamma for r in residues]))
-        if rows[-1] - rows[0] + 1 == rows.size:  # one run: write back through a slice
-            rows = slice(rows[0], rows[-1] + 1)
-        steps.append((rows, Q[rows], None if f is None else f[rows]))
-    V = np.zeros((Q.shape[0], 1 if f is None else 2))
-    V[:, 0] = 1.0
-    exponent = 0
-    yield 0, V, exponent
-    for j in range(1, n_max + 1):
-        rows, block, f_made = steps[j % d]
-        made = block @ V
-        if f_made is not None:
-            made[:, 1] += f_made * made[:, 0]
-        peak = made[:, 0].max()
-        if peak <= 0.0 and len(made) == len(V):
-            raise NullEventError(f"no state survives {j} steps; the conditioning is null")
+    cuts = {}
+
+    def advance(x, j, s):
+        """Take the flat ``x`` from step j to step j + s in place; return
+        the exponent of the power of two it divided by."""
+        key = s, (j + s) % d
+        if key not in cuts:
+            phases = [(r - j - s) % gamma for r in residues]
+            rows = np.flatnonzero(np.isin(phase, phases))
+            if rows[-1] - rows[0] + 1 == rows.size:  # one run: write back through a slice
+                rows = slice(rows[0], rows[-1] + 1)
+            cuts[key] = rows, (A if s == 1 else block)[rows], len(phases) == gamma
+        rows, part, every = cuts[key]
+        made = part @ x
+        peak = made[::width].max()
+        if peak <= 0.0 and every:
+            u, t = x[::width], 0
+            while u.max() > 0.0:
+                u, t = Q @ u, t + 1
+            raise NullEventError(f"no state survives {j + t} steps; the conditioning is null")
         shift = math.frexp(peak)[1]  # 0 when the rows made all died
-        V[rows] = np.ldexp(made, -shift, out=made)
-        exponent += shift
-        yield j, V, exponent
+        x[rows] = np.ldexp(made, -shift, out=made)
+        return shift
+
+    x = np.zeros(width * Q.shape[0])
+    x[::width] = 1.0
+    exponent = j = 0
+    for n in reads:
+        while j + k <= n:
+            exponent += advance(x, j, k)
+            j += k
+        while j < n:
+            exponent += advance(x, j, 1)
+            j += 1
+        yield n, x.reshape(-1, width), exponent
 
 
 def _horizon(n) -> int:
-    """``n`` as an int; a value that is not an integer raises ValueError."""
+    """``n`` as an int; a value that is not an integer, or is a bool,
+    raises ValueError."""
     try:
+        if isinstance(n, bool):  # operator.index(True) is 1
+            raise TypeError
         return operator.index(n)
     except TypeError:
         raise ValueError(f"horizons must be integers, got {n!r}") from None
@@ -362,8 +453,10 @@ def exact_mean_ratio(problem: AbsorbedChainProblem, f, n: int) -> float:
     recursion on the lifted survivor matrix: with ``u_j`` the survival
     probabilities over ``j`` steps and ``s_j`` the f-weighted survival
     sums, ``u_j = Q u_{j-1}`` and ``s_j = f * u_j + Q s_{j-1}``.  Exact up
-    to float round-off, cost ``O(n * nnz / gamma)`` for the ``nnz`` stored
-    nonzeros of the CSR survivor matrix, as each step makes one phase.
+    to float round-off.  The sweep advances k steps per product, so it
+    costs O((reads-chain length) * nnz(Q^k)) plus the squarings that
+    build the k-step block: about n/k products of the CSR survivor
+    matrix's k-th power to horizon n, each making one phase of gamma.
     """
     return float(mean_ratio_curve(problem, f, [n])[0])
 
@@ -381,15 +474,14 @@ def mean_ratio_curve(problem: AbsorbedChainProblem, f, ns) -> np.ndarray:
     for i, n in enumerate(ns):
         positions.setdefault(n, []).append(i)
     out = np.empty(len(ns))
-    for step, V, _ in _survival_sweep(lifted, max(ns), ns, fvec):
-        if step in positions:
-            denom, total = mu0 @ V
-            if denom <= 0.0:
-                raise NullEventError(
-                    f"conditioning on a null event: survival probability at "
-                    f"horizon {step} vanishes from the initial law"
-                )
-            out[positions[step]] = total / (step * denom)
+    for step, V, _ in _survival_sweep(lifted, positions, ns, fvec):
+        denom, total = mu0 @ V
+        if denom <= 0.0:
+            raise NullEventError(
+                f"conditioning on a null event: survival probability at "
+                f"horizon {step} vanishes from the initial law"
+            )
+        out[positions[step]] = total / (step * denom)
     return out
 
 

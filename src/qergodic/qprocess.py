@@ -193,11 +193,9 @@ def finite_horizon_qlaw(
         return 0.0
 
     index = lifted.survivor_index
-    tail = index[(current, n % gamma)]
-    for j, V, exponent in _survival_sweep(lifted, m, [m]):
-        if j == m - n:
-            tail_value, tail_exponent = V[tail, 0], exponent
-    denom = V[index[(x, 0)], 0]
+    rows = {m - n: index[(current, n % gamma)], m: index[(x, 0)]}
+    read = {j: (V[rows[j], 0], e) for j, V, e in _survival_sweep(lifted, rows, [m])}
+    (tail_value, tail_exponent), (denom, exponent) = read[m - n], read[m]
     if denom <= 0.0:
         raise NullEventError(
             f"survival to horizon {m} from {x!r} has probability 0"

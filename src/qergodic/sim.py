@@ -127,6 +127,8 @@ class SimConfig:
         for name in ("seed", "trajectories", "horizon", "shards"):
             value = getattr(self, name)
             try:  # kept as an int: a numpy seed would overflow the key mixing
+                if isinstance(value, bool):  # operator.index(True) is 1
+                    raise TypeError
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ValidationError(f"{name} must be an integer, got {value!r}") from None

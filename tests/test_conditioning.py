@@ -400,12 +400,12 @@ def test_qld_cycle_finite_absorption_is_null():
 
 @pytest.fixture()
 def full_sweeps(monkeypatch):
-    """Make every survival sweep multiply all phases at every step, as the
+    """Make every product of every survival sweep make all phases, as the
     sweep does when it is asked for every horizon residue."""
     sweep = conditioning._survival_sweep
 
-    def full(lifted, n_max, horizons, f=None):
-        return sweep(lifted, n_max, range(lifted.gamma), f)
+    def full(lifted, reads, horizons, f=None):
+        return sweep(lifted, reads, range(lifted.gamma), f)
 
     def use(on):
         for module in (conditioning, qprocess):
@@ -421,9 +421,20 @@ def _phase_sweep_cases():
             moving_walk(0.1, 350), *draws, sparse_periodic_chain(1)]
 
 
-@pytest.mark.parametrize("problem", _phase_sweep_cases(),
-                         ids=["walk-30", "walk-25", "expander-60", "walk-0.1-350",
-                              *(f"random-{i}" for i in range(6)), "sparse-1"])
+_PHASE_SWEEP_IDS = ["walk-30", "walk-25", "expander-60", "walk-0.1-350",
+                    *(f"random-{i}" for i in range(6)), "sparse-1"]
+
+
+def _start_and_cylinder(problem):
+    """The first phase-0 survivor and a one-step cylinder to its likeliest
+    next state."""
+    labels = problem.space.labels
+    x = next(x for x, k in lift_chain(problem).survivors if k == 0)
+    row = problem.kernel.normalized[problem.space.index(x)]
+    return x, [labels[int(np.argmax(row))]]
+
+
+@pytest.mark.parametrize("problem", _phase_sweep_cases(), ids=_PHASE_SWEEP_IDS)
 def test_a_sweep_over_the_phases_a_horizon_reads_is_bit_equal_to_the_full_sweep(
     problem, full_sweeps
 ):
@@ -433,16 +444,65 @@ def test_a_sweep_over_the_phases_a_horizon_reads_is_bit_equal_to_the_full_sweep(
     # in [57, 58]), and the first 3 * gamma
     curves = [[n] for n in range(57, 57 + gamma)] + [
         [57, 58], [3, 8, 4 + gamma], list(range(1, 3 * gamma + 1))]
-    lifted = lift_chain(problem)
-    x = next(x for x, k in lifted.survivors if k == 0)
-    row = problem.kernel.normalized[problem.space.index(x)]
-    cylinder = [labels[int(np.argmax(row))]]
+    x, cylinder = _start_and_cylinder(problem)
     got = [mean_ratio_curve(problem, f, ns).tobytes() for ns in curves]
     got += [finite_horizon_qlaw(problem, x, cylinder, m) for m in range(57, 57 + gamma)]
     full_sweeps(True)
     want = [mean_ratio_curve(problem, f, ns).tobytes() for ns in curves]
     want += [finite_horizon_qlaw(problem, x, cylinder, m) for m in range(57, 57 + gamma)]
     assert got == want
+
+
+@pytest.fixture()
+def chosen_strides(monkeypatch):
+    """The stride of each survival sweep the test runs, in call order."""
+    rule, seen = conditioning._stride, []
+
+    def spy(*args):
+        k, block = rule(*args)
+        seen.append(k)
+        return k, block
+
+    monkeypatch.setattr(conditioning, "_stride", spy)
+    return seen
+
+
+@pytest.mark.parametrize("problem", _phase_sweep_cases(), ids=_PHASE_SWEEP_IDS)
+def test_a_strided_sweep_agrees_with_unit_steps(problem, monkeypatch):
+    f = {x: float(i % 5) - 1.5 for i, x in enumerate(problem.space.labels)}
+    # a curve that reads every step takes unit steps
+    unit = mean_ratio_curve(problem, f, range(1, 5001))
+    for ns in ([2000], [2000, 2001], [5000]):
+        got = mean_ratio_curve(problem, f, ns)
+        assert np.all(np.isfinite(got)), ns  # walk-0.1-350 falls below 1e-308
+        np.testing.assert_allclose(got, unit[np.array(ns) - 1], rtol=1e-12, atol=0)
+    x, cylinder = _start_and_cylinder(problem)
+    got = [finite_horizon_qlaw(problem, x, cylinder, m) for m in (500, 501)]
+    monkeypatch.setattr(conditioning, "_stride", lambda A, *_: (1, A))  # unit steps
+    want = [finite_horizon_qlaw(problem, x, cylinder, m) for m in (500, 501)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_the_stride_is_one_only_where_squaring_does_not_pay(chosen_strides):
+    walk = moving_walk(0.45, 100)
+    f = {x: 1.0 for x in walk.space.labels}
+    mean_ratio_curve(walk, f, range(1, 2001))
+    mean_ratio_curve(sparse_periodic_chain(1), {"s1": 1.0}, [2000])
+    assert chosen_strides == [1, 1]
+    mean_ratio_curve(walk, f, [2000])
+    assert chosen_strides[2] > 1
+
+
+def test_a_strided_sweep_names_the_first_step_nothing_survives(chosen_strides):
+    # a -> b -> c -> trap: nothing survives 3 steps, inside a stride
+    rows = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    problem = trap_chain(("a", "b", "c"), rows, Distribution.point_mass("a"))
+    message = r"^no state survives 3 steps; the conditioning is null$"
+    with pytest.raises(NullEventError, match=message):
+        mean_ratio_curve(problem, {"a": 1.0}, [7])
+    with pytest.raises(NullEventError, match=message):
+        finite_horizon_qlaw(problem, "a", ["b"], 7)
+    assert len(chosen_strides) == 2 and min(chosen_strides) > 1
 
 
 def _phase_zero_dies_first():
@@ -549,7 +609,7 @@ def test_mean_ratio_rejects_an_empty_horizon_list(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("n", [2.5, 2.0, "2"])
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", True, False])
 def test_a_horizon_that_is_not_an_integer_is_rejected(n, tmp_path):
     problem = moving_walk(0.45, 10)
     f = {x: 1.0 for x in problem.space.labels}

@@ -326,7 +326,8 @@ def test_qprocess_simulation_rejects_empty_runs(steps, paths):
 
 def test_estimate_conditionals_rejects_a_config_that_is_not_integer():
     problem = n3_walk(0.5)
-    for args in [(1.5, 10, 5), (1, 10.5, 5), (1, 10, 5.5), (1, 10, 5, 2.5)]:
+    for args in [(1.5, 10, 5), (1, 10.5, 5), (1, 10, 5.5), (1, 10, 5, 2.5),
+                 (True, 10, 5), (1, True, 5), (1, 10, True), (1, 10, 5, True)]:
         with pytest.raises(ValidationError, match=r"must be an integer, got"):
             estimate_conditionals(problem, {"3": 1.0}, SimConfig(*args))
     # numpy integers are integers
