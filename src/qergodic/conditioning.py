@@ -306,48 +306,109 @@ def qld_cycle(problem: AbsorbedChainProblem) -> QldCycle:
     )
 
 
-def _stride(A, phase, gamma, reads):
-    """The stride k of a survival sweep that takes the sorted ``reads``, and
-    the block ``A^k``.
+def _stride(lifted, f, reads):
+    """The stride k of a survival sweep that takes the sorted ``reads``, the
+    k-step block divided by ``2**e``, and e.
 
-    Row i of the one-step block ``A`` sits at phase ``phase[i]``.  The
-    sweep goes from each read to the next by strides of ``A^k``, then by
-    unit steps of ``A``; the product that ends at step j makes the rows of
-    the phases ``(n - j) mod gamma``, n in ``reads``, and costs one
-    multiply-add per stored entry of those rows.  Squaring ``A^k`` costs,
-    for each stored entry (i, l), the stored entries of row l.  k starts
-    at 1 and doubles while one squaring costs fewer multiply-adds than it
-    saves over the products that take the reads.  The square is formed
-    only when the unit steps of stride 2k alone leave it room to pay.
-    The rows are counted as if each read were a horizon, so k depends on
-    the lift and the reads alone: a sweep that makes more phases takes
-    the same products, with the same values on the rows both make.
+    k steps map u and s by ``[[Q^k, 0], [S_k, Q^k]]``, with ``S_1 =
+    diag(f) Q`` and ``S_2k = S_k Q^k + Q^k S_k`` (by ``Q^k`` alone
+    without ``f``); the block is that map on the flat ``V`` of
+    ``_survival_sweep``, None when k is 1.  The sweep goes from each read
+    to the next by strides of k steps, then by unit steps; the product
+    that ends at step j makes the rows of the phases ``(n - j) mod
+    gamma``, n in ``reads``.  A unit step costs ``width`` multiply-adds
+    per stored entry of those rows of Q, and with ``f`` one more per row
+    for ``f * u``; a stride costs one per stored entry of those rows of
+    the block.  Squaring costs, for each stored entry (i, l) of a left
+    factor, the stored entries of row l of the right one.  k starts at 1
+    and doubles while one squaring costs fewer multiply-adds than it
+    saves over the products that take the reads.  ``Q^2k`` is formed only
+    when the squares might pay with each row of a product as long as the
+    longest row it sums, and ``S_2k`` only when ``Q^2k`` leaves it room to
+    pay.  Each square is divided by the power of two at its peak, which is
+    exact and keeps a fast-dying block from underflowing.  The rows are
+    counted as if each read were a horizon, so k depends on the lift, f
+    and the reads alone: a sweep that makes more phases takes the same
+    products, with the same values on the rows both make.
     """
-    residues = {n % gamma for n in reads}
+    from scipy import sparse
+
+    Q, phase, gamma = lifted.survivor_csr, lifted.phase, lifted.gamma
+    width = 1 if f is None else 2
+    residues = np.array(sorted({n % gamma for n in reads}))
     reads = np.asarray(reads)
     gaps = np.diff(reads, prepend=0)
 
-    def cost(M, step, count, last):
-        """Multiply-adds of ``count[i]`` products of ``M`` by ``step``
-        steps, the last ending at step ``last[i]``."""
-        back = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        ends = np.repeat(last, count) - step * back
-        nnz = np.bincount(phase, weights=np.diff(M.indptr), minlength=gamma)
-        per_product = [sum(nnz[(r - q) % gamma] for r in residues) for q in range(gamma)]
-        return np.bincount(ends % gamma, minlength=gamma) @ per_product
+    def ends(step, count, last):
+        """How many of ``count[i]`` products by ``step`` steps, the last
+        ending at step ``last[i]``, end at each step mod gamma: the t-th
+        product back from the last ends where the (t + period)-th does."""
+        period = gamma // math.gcd(step, gamma)
+        back = np.arange(period)
+        times = count[:, None] // period + (back < count[:, None] % period)
+        return np.bincount(((last[:, None] - step * back) % gamma).ravel(),
+                           weights=times.ravel(), minlength=gamma)
 
-    k, block = 1, A
-    work = cost(A, 1, gaps, reads)
+    def per_product(entries):
+        """Multiply-adds of the product that ends at each step mod gamma,
+        where making survivor l's rows costs ``entries[l]``."""
+        per_phase = np.bincount(phase, weights=entries, minlength=gamma)
+        return per_phase[(residues - np.arange(gamma)[:, None]) % gamma].sum(axis=1)
+
+    def stored(M):
+        return np.diff(M.indptr)
+
+    def multiplies(A, B):
+        """Multiply-adds of ``A @ B``."""
+        return stored(B)[A.indices].sum()
+
+    def longest(A, B):
+        """For each row i of ``A @ B``, the longest row l of B that it
+        sums, which it is at least as long as."""
+        out, live = np.zeros(A.shape[0]), stored(A) > 0
+        if live.any():
+            out[live] = np.maximum.reduceat(stored(B)[A.indices], A.indptr[:-1][live])
+        return out
+
+    unit = per_product(width * stored(Q) + width - 1)
+    k, Qk, Sk, exponent = 1, Q, None, 0
+    if f is not None:  # diag(f) Q, on copies of Q's index arrays
+        Sk = sparse.csr_array((np.repeat(f, stored(Q)) * Q.data, Q.indices, Q.indptr),
+                              shape=Q.shape, copy=True)
+        Sk.eliminate_zeros()
+    work = ends(1, gaps, reads) @ unit
     while True:
-        squaring = np.diff(block.indptr)[block.indices].sum()
-        units = cost(A, 1, gaps % (2 * k), reads)
-        if squaring >= work - units:
-            return k, block
-        square = block @ block
-        doubled = units + cost(square, 2 * k, gaps // (2 * k), reads - gaps % (2 * k))
+        units = ends(1, gaps % (2 * k), reads) @ unit
+        strides = ends(2 * k, gaps // (2 * k), reads - gaps % (2 * k))
+        squaring, fewest = multiplies(Qk, Qk), 0.0
+        if Sk is not None:
+            squaring += multiplies(Sk, Qk) + multiplies(Qk, Sk)
+            fewest = np.maximum(longest(Sk, Qk), longest(Qk, Sk))
+        if squaring >= work - units - strides @ per_product(width * longest(Qk, Qk) + fewest):
+            break
+        square = [Qk @ Qk]
+        doubled = units + strides @ per_product(width * stored(square[0]) + fewest)
         if squaring >= work - doubled:
-            return k, block
-        k, block, work = 2 * k, square, doubled
+            break
+        if Sk is not None:
+            square.append(Sk @ Qk + Qk @ Sk)
+            doubled = units + strides @ per_product(width * stored(square[0]) + stored(square[1]))
+            if squaring >= work - doubled:
+                break
+        shift = math.frexp(max(np.abs(M.data).max(initial=0.0) for M in square))[1]
+        for M in square:
+            M.data = np.ldexp(M.data, -shift)
+        Qk, Sk = square if Sk is not None else (square[0], None)
+        k, exponent, work = 2 * k, 2 * exponent + shift, doubled
+    if k == 1 or f is None:
+        return k, None if k == 1 else Qk, exponent
+    # row i of Q^k on the u columns makes row 2i; beside S_k's row i, on the
+    # s columns, row 2i + 1
+    Qk, S = Qk.tocoo(), Sk.tocoo()
+    rows = np.concatenate([2 * Qk.row, 2 * S.row + 1, 2 * Qk.row + 1])
+    cols = np.concatenate([2 * Qk.col, 2 * S.col, 2 * Qk.col + 1])
+    data = np.concatenate([Qk.data, S.data, Qk.data])
+    return k, sparse.csr_array((data, (rows, cols)), shape=(2 * Q.shape[0],) * 2), exponent
 
 
 def _survival_sweep(lifted, reads, horizons, f=None):
@@ -357,82 +418,82 @@ def _survival_sweep(lifted, reads, horizons, f=None):
     per distinct read, in increasing order: column 0 of ``V`` holds
     ``u_j``, and column 1, when ``f`` is given, ``s_j = f * u_j + Q
     s_{j-1}`` (``s_0 = 0``), both divided by ``2**exponent``; the next
-    step overwrites ``V``.  A step maps u and s by ``A = [[Q, 0], [diag(f)
-    Q, Q]]`` (``A = Q`` without ``f``), whose rows 2i and 2i + 1 are the
-    u and s rows of survivor i.  The sweep goes from each read to the
-    next by strides of ``A^k``, built by squaring, then by unit steps of
-    ``A``, with k from ``_stride``: it depends on the lift and the reads
-    alone, and a curve that reads every step gets k = 1.  The sweep costs
-    O((reads-chain length) * nnz(A^k)) plus the squarings, the chain
-    being its products from step 0 through the last read: about n/k of
-    them to horizon n.
+    step overwrites ``V``.  A unit step makes rows of ``V`` from rows of
+    ``Q``.  The sweep goes from each read to the next by strides of k
+    steps, then by unit steps, with k and the k-step block on the
+    flattened ``V`` from ``_stride``: k depends on the lift, f and the
+    reads alone, and a curve that reads every step gets k = 1.  The
+    sweep costs O((reads-chain length) * nnz(Q^k)) plus the squarings,
+    the chain being its products from step 0 through the last read:
+    about n/k of them to horizon n.
 
     A horizon n reads ``u_n`` and ``s_n`` at phase 0, and these read step
     j only at phase ``(n - j) mod gamma``.  So the product that ends at
     step j makes only the rows of those phases, n in ``horizons``, from
-    their rows of its block, cut once per distinct phase set and block;
-    it reads only the rows made by the product before, and the other rows
-    are stale.  Each product divides the rows it made by the power of two
-    at their peak of u, which is exact and keeps u from underflowing, so
-    the values equal those of the full product and two reads compare
-    through their exponents.  A product that makes every row raises
-    NullEventError, naming the first step that none survives, when none
-    does.
+    their rows of ``Q`` or the block, cut once per distinct phase set and
+    stride; it reads only the rows made by the product before, and the
+    other rows are stale.  Each product divides the rows it made by the
+    power of two at their peak of u, which is exact and keeps u from
+    underflowing, so the values equal those of the full product and two
+    reads compare through their exponents.  A product that makes every
+    row raises NullEventError when none survives, naming the first step
+    that none does: a stride finds it by unit steps.
     """
     Q, gamma = lifted.survivor_csr, lifted.gamma
-    if f is None:
-        A, phase, width = Q, lifted.phase, 1
-    else:
-        from scipy import sparse
-
-        # row i of Q on the u columns makes row 2i; on the s columns, beside
-        # f_i times row i of Q on the u columns, row 2i + 1
-        ptr, shape = np.repeat(Q.indptr, 2), (2 * Q.shape[0],) * 2
-        fu = np.repeat(f, np.diff(Q.indptr)) * Q.data
-        A = (sparse.csr_array((Q.data, 2 * Q.indices, ptr[1:]), shape=shape)
-             + sparse.csr_array((fu, 2 * Q.indices, ptr[:-1]), shape=shape)
-             + sparse.csr_array((Q.data, 2 * Q.indices + 1, ptr[:-1]), shape=shape))
-        phase, width = np.repeat(lifted.phase, 2), 2
+    width = 1 if f is None else 2
     reads = sorted(set(reads))
-    k, block = _stride(A, phase, gamma, reads)
+    k, block, scale = _stride(lifted, f, reads)
     residues = {n % gamma for n in horizons}
     # the product ending at step j makes the same rows as that ending at j + d
     d = next(d for d in range(1, gamma + 1) if {(r + d) % gamma for r in residues} == residues)
-    cuts = {}
+    V = np.zeros((Q.shape[0], width))
+    V[:, 0] = 1.0
 
-    def advance(x, j, s):
-        """Take the flat ``x`` from step j to step j + s in place; return
-        the exponent of the power of two it divided by."""
-        key = s, (j + s) % d
-        if key not in cuts:
-            phases = [(r - j - s) % gamma for r in residues]
-            rows = np.flatnonzero(np.isin(phase, phases))
-            if rows[-1] - rows[0] + 1 == rows.size:  # one run: write back through a slice
-                rows = slice(rows[0], rows[-1] + 1)
-            cuts[key] = rows, (A if s == 1 else block)[rows], len(phases) == gamma
-        rows, part, every = cuts[key]
+    def cut(s, end):
+        """What the product of ``s`` steps that ends at step ``end`` needs:
+        the rows it makes, their part of its map, the array it reads and
+        writes, where u sits in what it makes, the f of unit steps, the
+        exponent of the map, and whether it makes every row."""
+        phases = [(r - end) % gamma for r in residues]
+        rows = np.flatnonzero(np.isin(lifted.phase, phases))
+        every = len(phases) == gamma
+        if s == 1:
+            how = Q[rows], V, (slice(None), 0), None if f is None else f[rows], 0
+        else:  # survivor i holds entries width * i onwards of the flattened V
+            rows = (width * rows[:, None] + np.arange(width)).ravel()
+            how = block[rows], V.reshape(-1), slice(None, None, width), None, scale
+        if rows[-1] - rows[0] + 1 == rows.size:  # one run: write back through a slice
+            rows = slice(rows[0], rows[-1] + 1)
+        return rows, *how, every
+
+    units = [cut(1, end) for end in range(d)]
+    strides = [cut(k, end) for end in range(d)] if k > 1 else units
+
+    def advance(j, s):
+        """Take ``V`` from step j to step j + s in place; return the
+        exponent of the power of two it divided by."""
+        rows, part, x, u, f_made, scaled, every = (units if s == 1 else strides)[(j + s) % d]
         made = part @ x
-        peak = made[::width].max()
+        if f_made is not None:
+            made[:, 1] += f_made * made[:, 0]
+        peak = made[u].max()
         if peak <= 0.0 and every:
-            u, t = x[::width], 0
-            while u.max() > 0.0:
-                u, t = Q @ u, t + 1
-            raise NullEventError(f"no state survives {j + t} steps; the conditioning is null")
+            if s == 1:
+                raise NullEventError(f"no state survives {j + 1} steps; the conditioning is null")
+            return sum(advance(j + t, 1) for t in range(s))
         shift = math.frexp(peak)[1]  # 0 when the rows made all died
         x[rows] = np.ldexp(made, -shift, out=made)
-        return shift
+        return scaled + shift
 
-    x = np.zeros(width * Q.shape[0])
-    x[::width] = 1.0
     exponent = j = 0
     for n in reads:
         while j + k <= n:
-            exponent += advance(x, j, k)
+            exponent += advance(j, k)
             j += k
         while j < n:
-            exponent += advance(x, j, 1)
+            exponent += advance(j, 1)
             j += 1
-        yield n, x.reshape(-1, width), exponent
+        yield n, V, exponent
 
 
 def _horizon(n) -> int:

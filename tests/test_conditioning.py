@@ -459,9 +459,9 @@ def chosen_strides(monkeypatch):
     rule, seen = conditioning._stride, []
 
     def spy(*args):
-        k, block = rule(*args)
+        k, block, exponent = rule(*args)
         seen.append(k)
-        return k, block
+        return k, block, exponent
 
     monkeypatch.setattr(conditioning, "_stride", spy)
     return seen
@@ -478,7 +478,7 @@ def test_a_strided_sweep_agrees_with_unit_steps(problem, monkeypatch):
         np.testing.assert_allclose(got, unit[np.array(ns) - 1], rtol=1e-12, atol=0)
     x, cylinder = _start_and_cylinder(problem)
     got = [finite_horizon_qlaw(problem, x, cylinder, m) for m in (500, 501)]
-    monkeypatch.setattr(conditioning, "_stride", lambda A, *_: (1, A))  # unit steps
+    monkeypatch.setattr(conditioning, "_stride", lambda *_: (1, None, 0))  # unit steps
     want = [finite_horizon_qlaw(problem, x, cylinder, m) for m in (500, 501)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -491,6 +491,27 @@ def test_the_stride_is_one_only_where_squaring_does_not_pay(chosen_strides):
     assert chosen_strides == [1, 1]
     mean_ratio_curve(walk, f, [2000])
     assert chosen_strides[2] > 1
+
+
+@pytest.mark.parametrize("stay, ns", [(0.5, [2048]), (0.5, [4096]), (1e-6, [2000]),
+                                      (1e-6, [2000, 2001])])
+def test_a_strided_sweep_of_a_fast_dying_chain_keeps_its_block_in_range(
+    stay, ns, chosen_strides
+):
+    # a survives a step with probability stay, b with stay / 2: A^k is far
+    # below the smallest float long before the reads.  With gamma = 2 a
+    # product makes only the phase its horizon reads there, so a block
+    # that underflowed would leave zeros, not a null event.
+    rows = [[stay / 2, stay / 2, 1 - stay], [0.0, stay / 2, 1 - stay / 2]]
+    problem = trap_chain(("a", "b"), rows, Distribution.point_mass("a"), gamma=2)
+    f = {"a": 1.0, "b": -2.0}
+    got = mean_ratio_curve(problem, f, ns)
+    unit = mean_ratio_curve(problem, f, range(1, max(ns) + 1))
+    np.testing.assert_allclose(got, unit[np.array(ns) - 1], rtol=1e-12, atol=0)
+    # survival over m steps from a is (stay / 2)^m (m + 1)
+    m = max(ns)
+    assert finite_horizon_qlaw(problem, "a", ["a"], m) == pytest.approx(m / (m + 1), rel=1e-12)
+    assert chosen_strides[0] > 1 and chosen_strides[1] == 1 and chosen_strides[2] > 1
 
 
 def test_a_strided_sweep_names_the_first_step_nothing_survives(chosen_strides):
