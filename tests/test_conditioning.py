@@ -498,10 +498,10 @@ def test_the_stride_is_one_only_where_squaring_does_not_pay(chosen_strides):
 def test_a_strided_sweep_of_a_fast_dying_chain_keeps_its_block_in_range(
     stay, ns, chosen_strides
 ):
-    # a survives a step with probability stay, b with stay / 2: A^k is far
-    # below the smallest float long before the reads.  With gamma = 2 a
-    # product makes only the phase its horizon reads there, so a block
-    # that underflowed would leave zeros, not a null event.
+    # a survives a step with probability stay, b with stay / 2: the k-step
+    # block falls below the smallest float long before the reads.  With
+    # gamma = 2 a product makes only the phase its horizon reads there, so
+    # a block that underflowed would leave zeros, not a null event.
     rows = [[stay / 2, stay / 2, 1 - stay], [0.0, stay / 2, 1 - stay / 2]]
     problem = trap_chain(("a", "b"), rows, Distribution.point_mass("a"), gamma=2)
     f = {"a": 1.0, "b": -2.0}
