@@ -7,6 +7,13 @@ Collatz-Wielandt bracket that certifies it, the full peripheral
 eigensystem and the survival coefficient which prefixes the geometric
 decay of the survival probability.
 
+The Perron data come from Noda's iteration on each class's T-step block.
+A log potential taken along a spanning tree of the class's two-way edges
+scales the block when that narrows the first Collatz-Wielandt bracket;
+it makes the block of a reversible class symmetric.  Each step is solved
+by a sparse LU when the factor's fill, bounded by the block's envelope,
+stays within n^2 / 8, else by a dense one.
+
 Conventions.  States are integer indices into the parent matrix, which
 is read in CSR form (dense input is converted once, on entry).  For a
 class of period ``T`` with cyclic classes ``C_0 .. C_{T-1}`` (the anchor,
@@ -47,7 +54,9 @@ __all__ = [
 
 # From a flat start Noda spends a solve per 2.5-3 e-folds of spread in the
 # Perron vector before it turns quadratic (64 solves on the moving walk at
-# N=800, p=0.45), so 300 cover any spread a float64 vector can hold.
+# N=800, p=0.45), so 300 cover any spread a float64 vector can hold.  The
+# tree potential of _perron_solve leaves the walk little spread to cover
+# (5 solves at N=800), but a block it does not fit starts flat.
 _NODA_MAX_STEPS = 300
 _BRACKET_RTOL = 1e-10
 RHO_TIE_RTOL = 1e-9  # class decay rates this close, relative, tie for the largest
@@ -162,14 +171,24 @@ class ClassDecomposition:
     graph: sparse.csr_array
     matrix: sparse.csr_array
 
+    def _class_ids(self, class_ids) -> np.ndarray:
+        """The distinct ids, sorted; raises ValidationError unless each is
+        an integer in ``range(len(classes))``."""
+        C = len(self.classes)
+        ids = np.asarray(class_ids if isinstance(class_ids, np.ndarray) else list(class_ids))
+        if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= C):
+            raise ValidationError(f"class ids must be integers in range({C}), got {ids.tolist()}")
+        return np.unique(ids.astype(int))
+
     def reachable_from(self, class_ids, reverse: bool = False) -> set[int]:
         """Classes reachable from the given ones, or with ``reverse`` those
         that reach them, excluding the given ones: one breadth-first search
-        on ``graph`` (``graph.T``) from a virtual source C wired to each."""
+        on ``graph`` (``graph.T``) from a virtual source C wired to each.
+        Raises ValidationError for an id that names no class."""
         from scipy import sparse
         from scipy.sparse.csgraph import breadth_first_order
 
-        start, C = np.unique(np.fromiter(class_ids, int)), len(self.classes)
+        start, C = self._class_ids(class_ids), len(self.classes)
         graph = self.graph.T.tocsr() if reverse else self.graph
         nnz = graph.nnz + start.size
         indices, indptr = np.append(graph.indices, start), np.append(graph.indptr, nnz)
@@ -182,9 +201,10 @@ class ClassDecomposition:
         1965): the live classes, ``class_ids`` and every class they reach,
         and, sorted, the live classes whose decay rate ties, within
         ``RHO_TIE_RTOL`` relative, for the largest live one.  Raises
-        NullEventError when that largest rate is 0."""
-        start = {int(i) for i in class_ids}
-        live = start | self.reachable_from(start)
+        NullEventError when that largest rate is 0, and ValidationError
+        for an id that names no class."""
+        start = self._class_ids(class_ids)
+        live = set(start.tolist()) | self.reachable_from(start)
         rho_max = max(self.classes[i].rho for i in live)
         if rho_max <= 0.0:
             raise NullEventError(
@@ -197,13 +217,15 @@ class ClassDecomposition:
         """Extend class i's cyclic rows ``V`` (rows j mod ``len(V)``) in
         place: left laws onto every class i reaches, ``rho V_{j+1} = V_j Q``,
         or right vectors, zero on the ``ancestors`` given, onto those, ``rho
-        V_j = Q V_{j+1}``; nonsingular when they decay faster than class i."""
+        V_j = Q V_{j+1}``; nonsingular when they decay faster than class i.
+        Raises ValidationError for an id that names no class."""
         from scipy import sparse
         from scipy.sparse.linalg import spsolve
 
         Q, left = self.matrix, ancestors is None
-        targets = self.reachable_from({i}) if left else ancestors
-        S = np.flatnonzero(np.isin(self.class_of, list(targets)))
+        (i,) = self._class_ids([i]).tolist()
+        targets = list(self.reachable_from({i})) if left else self._class_ids(ancestors)
+        S = np.flatnonzero(np.isin(self.class_of, targets))
         if S.size:  # X_j = V_j on S: rho X_j - A X_{j-1} (left), A X_{j+1} (right) = B_j
             A = Q[S][:, S].T if left else Q[S][:, S]
             B = np.roll(V, 1, axis=0) @ Q[:, S] if left else np.roll(V, -1, axis=0) @ Q[S].T
@@ -249,23 +271,76 @@ class EigenProjectionReport:
     projection_residual: float
 
 
-def _noda(A: np.ndarray, x: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
+def _major(A: sparse.csr_array | sparse.csc_array) -> np.ndarray:
+    """The row (CSR) or column (CSC) of each stored entry."""
+    return np.repeat(np.arange(A.indptr.size - 1), np.diff(A.indptr))
+
+
+def _shifted(A, x: np.ndarray, hi: float | None = None):
+    """``(lo, hi, M)`` for a block ``A`` at a positive ``x``: the
+    Collatz-Wielandt bounds ``lo = min(Ax/x)`` and ``hi = max(Ax/x)``
+    (``hi`` as given, when it is), and ``M = hi I - D^{-1} A D`` with
+    ``D = diag(x)``, whose row sums are ``hi - Ax/x``.  ``A`` is dense, or
+    CSC with every diagonal entry stored (see :func:`_t_step`), and ``M``
+    takes its form: in CSC only ``A``'s entries are scaled."""
+    n = A.shape[0]
+    if isinstance(A, np.ndarray):
+        B = A * x / x[:, None]
+        ratio = B.sum(axis=1)
+        hi = float(ratio.max()) if hi is None else hi
+        return float(ratio.min()), hi, hi * np.eye(n) - B
+    from scipy import sparse
+
+    ratio = A @ x / x
+    hi = float(ratio.max()) if hi is None else hi
+    cols = _major(A)
+    data = -A.data * x[cols] / x[A.indices]
+    data[A.indices == cols] += hi
+    return float(ratio.min()), hi, sparse.csc_array((data, A.indices, A.indptr), A.shape)
+
+
+def _solve(M, transpose: bool = False) -> np.ndarray:
+    """``M^{-1} 1``, or with ``transpose`` ``M^{-T} 1``: the one solve of
+    Noda's iteration and of :func:`_left_start`, where ``M = hi I - B`` is
+    an M-matrix with diagonally dominant rows.  A dense ``M`` takes
+    LAPACK's LU.  A CSC ``M`` takes SuperLU in the natural order,
+    pivoting on the diagonal only: an M-matrix needs no pivoting for its
+    LU to stay stable, and the factor then fills only inside the envelope
+    that :func:`_t_step` bounds.  Raises LinAlgError when the factor is
+    exactly singular."""
+    n = M.shape[0]
+    if isinstance(M, np.ndarray):
+        return np.linalg.solve(M.T if transpose else M, np.ones(n))
+    from scipy.sparse.linalg import splu
+
+    try:
+        lu = splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise np.linalg.LinAlgError(str(exc)) from None
+    return lu.solve(np.ones(n), trans="T" if transpose else "N")
+
+
+def _noda(A, x: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
     """Perron vector of an irreducible nonnegative matrix, with its bracket.
 
     Noda's iteration ``x <- (theta I - A)^{-1} x`` with the upper bound
     ``theta = max(Ax/x)`` of the Perron root keeps ``x`` positive and
     converges quadratically (Elsner, LAA 15, 1976).  It works on
     ``D^{-1} A D`` with ``D = diag(x)``, whose row sums are ``Ax/x``, so
-    entries of ``x`` far apart in magnitude keep their relative accuracy.
-    Returns the iterate with the narrowest Collatz-Wielandt bracket
-    ``min(Ax/x) <= rho <= max(Ax/x)``, once that closes to a few ulps or
-    stops narrowing below ``_BRACKET_RTOL`` relative width.  It starts
-    from ``x`` when that is finite and positive, else flat; a start whose
-    bracket is open and whose first solve is singular (its ``max(Ax/x)``
-    is rho to working precision) was never polished by a solve, and the
-    run starts again flat.
+    entries of ``x`` far apart in magnitude keep their relative accuracy;
+    ``A`` is dense or sparse, and :func:`_shifted` and :func:`_solve`
+    form and solve each step in that form.  Returns the iterate with the
+    narrowest Collatz-Wielandt bracket ``min(Ax/x) <= rho <= max(Ax/x)``,
+    once that closes to a few ulps or stops narrowing below
+    ``_BRACKET_RTOL`` relative width.  It starts from ``x`` when that is
+    finite and positive, else flat; a start whose bracket is open and
+    whose first solve is singular (its ``max(Ax/x)`` is rho to working
+    precision) was never polished by a solve, and the run starts again
+    flat.
     """
     n = A.shape[0]
+    if not isinstance(A, np.ndarray):
+        A = A.tocsc()  # the left run gets the CSR transpose
     warm = x is not None and bool(np.isfinite(x).all() and (x > 0.0).all())
     x = x / x.max() if warm else np.ones(n)
     x /= x.sum()
@@ -274,9 +349,7 @@ def _noda(A: np.ndarray, x: np.ndarray | None = None) -> tuple[np.ndarray, float
         # an entry that under- or overflowed makes Ax/x 0/0: stop before it
         if solves == _NODA_MAX_STEPS or not (x.all() and np.isfinite(x).all()):
             break
-        B = A * x / x[:, None]
-        ratio = B.sum(axis=1)
-        lo, hi = float(ratio.min()), float(ratio.max())
+        lo, hi, M = _shifted(A, x)
         if hi - lo < best[2] - best[1]:
             best = (x, lo, hi)
         elif best[2] - best[1] <= _BRACKET_RTOL * best[2]:
@@ -284,7 +357,7 @@ def _noda(A: np.ndarray, x: np.ndarray | None = None) -> tuple[np.ndarray, float
         if hi - lo <= 4.0 * np.spacing(hi):
             break
         try:
-            x = x * np.linalg.solve(hi * np.eye(n) - B, np.ones(n))
+            x = x * _solve(M)
         except np.linalg.LinAlgError:  # hi is rho to working precision
             if warm and solves == 0:
                 return _noda(A)
@@ -300,7 +373,7 @@ def _noda(A: np.ndarray, x: np.ndarray | None = None) -> tuple[np.ndarray, float
     return x, lo, hi
 
 
-def _left_start(A: np.ndarray, right: np.ndarray, hi: float) -> np.ndarray | None:
+def _left_start(A, right: np.ndarray, hi: float) -> np.ndarray | None:
     """A start for Noda's run on ``A.T``: one step of inverse iteration
     on the right run's last system, ``(hi I - D^{-1} A D)^T z = 1`` with
     ``D = diag(right)``.  With ``hi`` a few ulps above rho it converges in
@@ -308,12 +381,60 @@ def _left_start(A: np.ndarray, right: np.ndarray, hi: float) -> np.ndarray | Non
     is then the left Perron vector of ``A``; None when the system is
     singular, and :func:`_noda` starts flat from a start that is not
     finite and positive."""
-    n = A.shape[0]
     try:
-        z = np.linalg.solve((hi * np.eye(n) - A * right / right[:, None]).T, np.ones(n))
+        z = _solve(_shifted(A, right, hi)[2], transpose=True)
     except np.linalg.LinAlgError:
         return None
     return z / right
+
+
+def _tree_potential(sub: sparse.csr_array) -> np.ndarray:
+    """A log potential ``L`` of the one-step class block ``sub`` along a
+    breadth-first spanning tree of its two-way edges (``sub[u, v]`` and
+    ``sub[v, u]`` both positive) from state 0: the root gets 0, and a child
+    ``v`` of ``u`` gets ``L_u + (log sub[v, u] - log sub[u, v]) / 2``,
+    summed down the tree by pointer jumping in ``log2 n`` vector steps.
+    States the tree does not reach get 0, as does a block with no two-way
+    edge.
+
+    When ``sub`` is reversible, ``pi_u sub[u, v] = pi_v sub[v, u]``,
+    Kolmogorov's criterion makes this ``L = -log(pi) / 2`` up to a constant,
+    and ``exp(-L_u) sub[u, v] exp(L_v)`` is symmetric (Kelly,
+    Reversibility and Stochastic Networks, 1979); so are its powers, the
+    T-step block of the moving walk among them.
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import breadth_first_order
+
+    n = sub.shape[0]
+    rows, cols = _major(sub), sub.indices.astype(np.int64)  # keys up to n^2
+    order = np.argsort(rows * n + cols)
+    keys = (rows * n + cols)[order]
+    # the stored entry (v, u) of each stored (u, v), where there is one
+    back = order[np.searchsorted(keys, cols * n + rows).clip(max=keys.size - 1)]
+    two_way = (rows[back] == cols) & (cols[back] == rows) & (rows != cols)
+    two_way &= (sub.data > 0.0) & (sub.data[back] > 0.0)
+    indptr = np.append(0, np.cumsum(np.bincount(rows[two_way], minlength=n)))
+    graph = sparse.csr_array((np.ones(indptr[-1]), cols[two_way], indptr), (n, n))
+    up = breadth_first_order(graph, 0, return_predecessors=True)[1].astype(np.int64)
+    child = np.flatnonzero(up >= 0)
+    edge = order[np.searchsorted(keys, up[child] * n + child)]  # (up[v], v)
+    step = np.zeros(n)  # L_v - L_{up[v]}
+    step[child] = 0.5 * (np.log(sub.data[back[edge]]) - np.log(sub.data[edge]))
+    return _root_sums(up, step)
+
+
+def _root_sums(up: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Sums of ``step`` from each vertex up to its root along a
+    breadth-first predecessor array ``up``, which is negative at the root
+    and at the vertices the search did not reach, by pointer jumping in
+    ``log2 n`` vector steps."""
+    n = up.size
+    stays = up < 0
+    up, step = np.where(stays, np.arange(n), up), np.where(stays, 0, step)
+    for _ in range(n.bit_length()):  # a search tree is less than n deep
+        step, up = step + step[up], up[up]
+    return step
 
 
 def _relative_residual(vec: np.ndarray, image: np.ndarray, lam) -> float:
@@ -334,7 +455,7 @@ def _class_data(sub: sparse.csr_array, states: tuple[int, ...]) -> IrreducibleCl
     """Period and cyclic classes of the class ``states`` with one-step CSR
     block ``sub``, whose positive pattern the callers have found strongly
     connected.  Its Perron data is left to :func:`_perron_solve`."""
-    from scipy.sparse.csgraph import shortest_path
+    from scipy.sparse.csgraph import breadth_first_order
 
     if len(states) == 1:
         return _Singleton(states[0], float(sub.sum()))
@@ -343,53 +464,142 @@ def _class_data(sub: sparse.csr_array, states: tuple[int, ...]) -> IrreducibleCl
     # Phase BFS from the anchor; each edge u -> v closes a cycle of length
     # dist(u) + 1 - dist(v) through the anchor, and the period divides all
     # of them.
-    dist = shortest_path(graph, unweighted=True, indices=0).astype(int)
-    rows, cols = graph.nonzero()
+    up = breadth_first_order(graph, 0, return_predecessors=True)[1]
+    dist = _root_sums(up, np.ones(len(states), dtype=int))
+    rows, cols = _major(graph), graph.indices  # a comparison stores no False
     period = int(np.gcd.reduce(dist[rows] + 1 - dist[cols]))
     return IrreducibleClass(states, period, dist % period, sub)
 
 
+def _t_step(blocks: list[sparse.csr_array]):
+    """The T-step block ``B_0 B_1 ... B_{T-1}`` on ``C_0``, made from the
+    right in the form of its Noda solves, chosen by their fill.
+
+    A sparse LU of ``hi I - B`` beats LAPACK's dense one while its L+U
+    hold a small fraction of the n^2 entries, here at most n^2 / 8 (one
+    BLAS thread, 2-vCPU VM): SuperLU took 0.1-1.1 ms a factor on the
+    moving walk's banded blocks at N = 100-2000 (L+U at 4-0.2 % of n^2),
+    where LAPACK took 0.4-160 ms, and 350 ms on ``expander_chain(2000)``'s
+    block (60 %), where LAPACK took 90.  The fill is read without
+    factoring: with no pivoting (see :func:`_solve`) L+U hold the block's
+    own entries and fill only inside its envelope, the entries between
+    each row's first stored column and the diagonal and between each
+    column's first stored row and the diagonal (George & Liu, Computer
+    Solution of Large Sparse Positive Definite Systems, 1981).  So a
+    product that holds more than n^2 / 8 entries is finished dense
+    (sparse-oracle's period-5 blocks reach 85 %), and a sparse one stays
+    sparse, in CSC with its whole diagonal stored, when its envelope is
+    within n^2 / 8: the expander's block holds 0.5 % of n^2, but its
+    envelope 79 %.
+    """
+    from scipy import sparse
+
+    n = blocks[0].shape[0]
+    t = blocks[-1]
+    for b in blocks[-2::-1]:
+        if not isinstance(t, np.ndarray) and 8 * t.nnz > n * n:
+            t = t.toarray()
+        t = b @ t
+    if isinstance(t, np.ndarray):
+        return t
+    rows, diagonal = _major(t), np.arange(n)
+    first_col, first_row = np.arange(n), np.arange(n)
+    np.minimum.at(first_col, rows, t.indices)
+    np.minimum.at(first_row, t.indices, rows)
+    if 8 * (n + 2 * diagonal.sum() - first_col.sum() - first_row.sum()) > n * n:
+        return t.toarray()
+    if np.count_nonzero(t.indices == rows) < n:  # adding a stored 0 keeps a value
+        data = np.r_[t.data, np.zeros(n)]
+        t = sparse.csr_array((data, (np.r_[rows, diagonal], np.r_[t.indices, diagonal])), (n, n))
+    return t.tocsc()
+
+
 def _perron_solve(cls: IrreducibleClass) -> _Perron:
     """Perron data of a class of two or more states, as :func:`perron_data`
-    describes it: the T-step block is formed from the CSR one-step blocks,
-    which also carry ``nu`` and ``xi`` around the cyclic classes, and the
-    left Noda run starts from :func:`_left_start`."""
+    describes it.  The one-step block is scaled by the tree potential ``L``
+    of :func:`_tree_potential`, ``exp(-L_u) Q_uv exp(L_v)``, when that
+    narrows the first Collatz-Wielandt bracket of the T-step block (its
+    row sums) over a flat start, and is left as it is when not; the T-step
+    block is formed once from the chosen blocks by :func:`_t_step`, which
+    also carry ``nu`` and ``xi`` around the cyclic classes, and the left
+    Noda run starts from :func:`_left_start`.  The vectors are unscaled at
+    the end, ``xi = exp(L) x_r`` and ``nu = exp(-L) x_l``; raises
+    ConvergenceError when they do not fit in float64, as on the moving
+    walk at p = 0.1, N = 350, whose ``nu`` and ``xi`` span 333 decades.
+    """
+    from scipy import sparse
+
     sub, period, cyclic = cls.submatrix, cls.period, cls.cyclic
     n = cls.size
     cyclic_local = [np.flatnonzero(cyclic == j) for j in range(period)]
+    C_0 = cyclic_local[0]
 
-    # T-step matrix on C_0, primitive, made from the right: B_0 @ (B_1 @ ...
-    # B_{T-1}) with CSR blocks and one dense factor.  Dense solves on it beat
-    # a sparse LU of the one-step class matrix, which fills in (250k L+U
-    # nonzeros from 3,962 on 1,102 states, T=5).
-    blocks = [
-        sub[cyclic_local[j]][:, cyclic_local[(j + 1) % period]]
-        for j in range(period)
-    ]
-    t_step = blocks[-1].toarray()
-    for b in blocks[-2::-1]:
-        t_step = b @ t_step
+    def first_width(Q):  # of the bracket: the T-step block's row sums, T products with 1
+        r = np.ones(n)
+        for _ in range(period):
+            r = Q @ r
+        return np.ptp(r[C_0])
+
+    # one step moves C_j to C_{j+1}, so a class of period 3 or more has no
+    # two-way edge, and its potential is 0
+    potential = _tree_potential(sub) if period <= 2 else np.zeros(n)
+    if potential.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.exp(potential[sub.indices] - potential[_major(sub)])
+            scaled = sparse.csr_array((sub.data * scale, sub.indices, sub.indptr), sub.shape)
+            if first_width(scaled) < first_width(sub):
+                sub = scaled
+            else:
+                potential[:] = 0.0
+
+    # one step maps C_j into C_{j+1}, so the rows of C_j, their columns
+    # renumbered within C_{j+1}, are the block B_j
+    within = np.empty(n, dtype=sub.indices.dtype)
+    for states in cyclic_local:
+        within[states] = np.arange(states.size)
+    blocks = []
+    for j, states in enumerate(cyclic_local):
+        start, count = sub.indptr[states], np.diff(sub.indptr)[states]
+        indptr = np.append(0, np.cumsum(count))
+        at = np.repeat(start - indptr[:-1], count) + np.arange(indptr[-1])
+        shape = (states.size, cyclic_local[(j + 1) % period].size)
+        blocks.append(sparse.csr_array((sub.data[at], within[sub.indices[at]], indptr), shape))
+    t_step = _t_step(blocks)
     right0, lo_r, hi_r = _noda(t_step)
     left0, lo_l, hi_l = _noda(t_step.T, _left_start(t_step, right0, hi_r))
-    theta = (left0 @ t_step @ right0) / (left0 @ right0)
+    theta = (left0 @ (t_step @ right0)) / (left0 @ right0)
     root = 1.0 / period
     rho = float(theta) ** root
     rho_bracket = (min(lo_r, lo_l) ** root, max(hi_r, hi_l) ** root)
 
     nu = np.zeros(n)
     xi = np.zeros(n)
-    nu[cyclic_local[0]] = left0
+    nu[C_0] = left0
     for j in range(period - 1):
         nu[cyclic_local[j + 1]] = nu[cyclic_local[j]] @ blocks[j] / rho
-    xi[cyclic_local[0]] = right0
+    xi[C_0] = right0
     for j in range(period - 1, 0, -1):
         xi[cyclic_local[j]] = blocks[j] @ xi[cyclic_local[(j + 1) % period]] / rho
 
-    nu /= nu.sum()
-    xi /= nu @ xi
+    # unscaled about the middle of L's range, so that neither vector leaves
+    # float64 before it is normalised unless it must
+    middle = (potential.max() + potential.min()) / 2.0
+    with np.errstate(all="ignore"):
+        nu_raw, xi_raw = nu * np.exp(middle - potential), xi * np.exp(potential - middle)
+        nu_raw /= nu_raw.sum()
+        xi_raw /= nu_raw @ xi_raw
+        if not (np.isfinite(nu_raw).all() and np.isfinite(xi_raw).all()
+                and min(nu_raw.min(), xi_raw.min()) >= np.finfo(float).tiny):
+            span = max(np.ptp(np.log(nu) - potential), np.ptp(np.log(xi) + potential))
+            raise ConvergenceError(
+                f"the Perron bracket [{rho_bracket[0]:.17g}, {rho_bracket[1]:.17g}] "
+                f"closed, but nu and xi span {span / np.log(10.0):.0f} decades, "
+                f"more than float64 holds"
+            )
+    nu, xi = nu_raw, xi_raw
 
-    nu_res = _relative_residual(nu, nu @ sub, rho)
-    xi_res = _relative_residual(xi, sub @ xi, rho)
+    nu_res = _relative_residual(nu, cls.submatrix.T @ nu, rho)
+    xi_res = _relative_residual(xi, cls.submatrix @ xi, rho)
     return _Perron(rho, nu, xi, nu_res, xi_res, rho_bracket)
 
 
@@ -399,16 +609,21 @@ def perron_data(Q, states) -> IrreducibleClass:
     ``Q``, dense or sparse, is converted to CSR once.  The period is the
     gcd of directed cycle lengths through the anchor (the smallest state
     index), obtained from a BFS phase labelling.  The T-step matrix
-    restricted to ``C_0`` is primitive; Noda's iteration gives its right
-    Perron vector and, run again on the transpose from one step of inverse
-    iteration on the right run's last system, its left one, each with a
-    Collatz-Wielandt bracket of its Perron root.  ``rho`` is the T-th
-    root of their Rayleigh quotient, ``rho_bracket`` the T-th roots of the
-    hull of both brackets, and the one-step blocks carry both vectors
-    around the other cyclic classes.  This is where states from outside
+    restricted to ``C_0`` is primitive.  It is formed once, sparse or
+    dense by the fill rule of :func:`_t_step`, from the one-step blocks,
+    scaled by the tree potential ``L`` of :func:`_tree_potential` when
+    that narrows the first Collatz-Wielandt bracket over a flat start.
+    Noda's iteration gives its right Perron vector and, run again on the
+    transpose from one step of inverse iteration on the right run's last
+    system, its left one, each with a Collatz-Wielandt bracket of its
+    Perron root.  ``rho`` is the T-th root of their Rayleigh quotient,
+    ``rho_bracket`` the T-th roots of the hull of both brackets, and the
+    one-step blocks carry both vectors around the other cyclic classes
+    before ``exp(L)`` unscales them.  This is where states from outside
     meet the class code: raises ValidationError unless the positive pattern
     on ``states`` is strongly connected, and ConvergenceError if a bracket
-    cannot be narrowed to ``_BRACKET_RTOL``.  Unlike the classes of
+    cannot be narrowed to ``_BRACKET_RTOL`` or if ``nu`` or ``xi`` under-
+    or overflows float64 once unscaled.  Unlike the classes of
     :func:`decompose_classes`, the returned class has its Perron data
     solved before it is returned.
     """

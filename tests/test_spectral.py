@@ -27,6 +27,7 @@ from qergodic.cli import main
 from _chains import (
     chained_tie,
     class_edges,
+    expander_chain,
     feeder_ring_sink,
     k2_walk,
     k5_walk,
@@ -93,6 +94,23 @@ def _assert_graph_and_reachability(dec, Q, rng):
             assert dec.reachable_from(ids, reverse=reverse) == reachable_dfs(
                 edges, ids, reverse
             )
+
+
+@pytest.mark.parametrize(
+    "ids", [[-1], [3], [0, 3], [1.5], [True], np.array([0.0]), ["0"]],
+    ids=["negative", "past-the-end", "one-bad", "float", "bool", "float-array", "str"],
+)
+def test_class_ids_that_name_no_class_are_rejected(ids):
+    # -1 once reached scipy's search and came back as class -1, and 3
+    # raised a bare IndexError
+    dec = decompose_classes(np.array([[0.5, 0.0, 0.0], [0.1, 0.4, 0.0], [0.0, 0.2, 0.3]]))
+    assert len(dec.classes) == 3
+    V = np.full((1, 3), 1.0 / 3.0)
+    calls = [dec.dominant_classes, dec.reachable_from,
+             lambda ids: dec.extend(ids[-1], V), lambda ids: dec.extend(0, V, ids)]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"range\(3\)"):
+            call(ids)
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,11 +311,16 @@ def test_singleton_classes_are_built_without_cutting_a_block(monkeypatch):
 def test_left_perron_run_started_from_the_right_one_takes_few_solves(monkeypatch):
     dec = lift_chain(moving_walk(0.45, 100, initial="101")).decomposition
     cls = max(dec.classes, key=lambda c: c.size)
-    # each dense solve is tagged with the number of Noda runs begun before
-    # it: 1 for the right run and the left run's start, 2 for the left run
-    solve, noda = np.linalg.solve, spectral._noda
+    # each solve, sparse or dense, is tagged with the number of Noda runs
+    # begun before it: 1 for the right run and the left run's start, 2 for
+    # the left run; with no tree potential the right run starts flat
+    solve, noda = spectral._solve, spectral._noda
     solves, starts = [], []
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(starts)) or solve(a, b))
+    monkeypatch.setattr(spectral, "_tree_potential", lambda sub: np.zeros(sub.shape[0]))
+    monkeypatch.setattr(
+        spectral, "_solve",
+        lambda M, transpose=False: solves.append(len(starts)) or solve(M, transpose),
+    )
     monkeypatch.setattr(spectral, "_noda", lambda A, x=None: starts.append(x) or noda(A, x))
     lo, hi = cls.rho_bracket
     assert lo <= cls.rho <= hi
@@ -338,15 +361,15 @@ def test_a_start_whose_first_solve_is_singular_runs_again_flat(monkeypatch):
     rng = np.random.default_rng(3)
     A = rng.uniform(0.0, 1.0, (6, 6))
     start = rng.uniform(0.5, 1.0, 6)
-    solve, calls = np.linalg.solve, []
+    solve, calls = spectral._solve, []
 
-    def singular_first(a, b):
-        calls.append(a.shape)
+    def singular_first(M, transpose=False):
+        calls.append(M.shape)
         if len(calls) == 1:
             raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
+        return solve(M, transpose)
 
-    monkeypatch.setattr(np.linalg, "solve", singular_first)
+    monkeypatch.setattr(spectral, "_solve", singular_first)
     x, lo, hi = spectral._noda(A, start)
     monkeypatch.undo()
     flat, flat_lo, flat_hi = spectral._noda(A)
@@ -596,9 +619,9 @@ def test_class_invariants_on_random_problems(seed):
                     assert survival_coefficient(cls, s, n) > 0.0
 
 
-@pytest.mark.parametrize("p, N", [(0.45, 100), (0.45, 200), (0.1, 150)])
+@pytest.mark.parametrize("p, N", [(0.45, 100), (0.45, 200), (0.1, 150), (0.45, 800)])
 def test_long_walk_matches_closed_forms(p, N):
-    # xi spans e^20, e^40 and e^327 from end to end; a solver that loses
+    # xi spans e^20, e^40, e^327 and e^160 from end to end; a solver that loses
     # the relative accuracy of its smallest entries misses the q-process,
     # which divides neighbouring entries of xi, or never closes its bracket
     problem = moving_walk(p, N, initial=str(N + 1))
@@ -619,18 +642,110 @@ def test_long_walk_matches_closed_forms(p, N):
 def test_perron_solve_takes_few_dense_solves(monkeypatch):
     # a dense class stalls a few ulps short of closing its bracket, and the
     # iteration stops there instead of running to its step cap
-    solve = np.linalg.solve
+    solve = spectral._solve
     calls = []
     monkeypatch.setattr(
-        np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b)
+        spectral, "_solve", lambda M, transpose=False: calls.append(M) or solve(M, transpose)
     )
     rng = np.random.default_rng(3)
     P = rng.dirichlet(np.full(60, 0.5), size=60) * rng.uniform(0.5, 1.0, (60, 1))
     cls = perron_data(P, range(60))
+    assert all(isinstance(M, np.ndarray) for M in calls)
     assert len(calls) <= 30
     lo, hi = cls.rho_bracket
     assert hi - lo <= 1e-10 * cls.rho
     assert cls.rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(P))), rel=1e-12)
+
+
+def _solves_by_run(monkeypatch):
+    """Patch the one solve to record, per call, its matrix and the number
+    of Noda runs begun before it (1: the right run and the left run's
+    start, 2: the left run)."""
+    solve, noda = spectral._solve, spectral._noda
+    solves, runs = [], []
+    monkeypatch.setattr(
+        spectral, "_solve",
+        lambda M, transpose=False: solves.append((len(runs), M)) or solve(M, transpose),
+    )
+    monkeypatch.setattr(spectral, "_noda", lambda A, x=None: runs.append(x) or noda(A, x))
+    return solves
+
+
+def test_right_perron_run_on_the_north_star_walk_takes_few_solves(monkeypatch):
+    # a flat start took 64 solves here; the tree potential leaves Noda
+    # only its quadratic phase
+    cls = max(lift_chain(moving_walk(0.45, 800)).decomposition.classes, key=lambda c: c.size)
+    solves = _solves_by_run(monkeypatch)
+    assert cls.rho == pytest.approx(moving_walk_rho(0.45, 800, "odd"), rel=1e-12)
+    assert sum(run == 1 for run, _ in solves) - 1 <= 10
+
+
+@pytest.mark.parametrize(
+    "problem, form",
+    [(moving_walk(0.45, 100), "sparse"), (moving_walk(0.1, 150), "sparse"),
+     (expander_chain(300), "dense"), (sparse_periodic_chain(1), "dense")],
+    ids=["walk-100", "walk-150", "expander-300", "sparse-1"],
+)
+def test_the_fill_of_the_factor_picks_the_solve(problem, form, monkeypatch):
+    # the expander's T-step block holds a few % of n^2 entries, but its LU
+    # fills in: the rule reads the fill, not the block's density
+    cls = max(lift_chain(problem).decomposition.classes, key=lambda c: c.size)
+    blocks, t_step = [], spectral._t_step
+    monkeypatch.setattr(spectral, "_t_step", lambda b: blocks.append(b) or t_step(b))
+    solves = _solves_by_run(monkeypatch)
+    lo, hi = cls.rho_bracket
+    assert lo <= cls.rho <= hi
+    kinds = {"dense" if isinstance(M, np.ndarray) else M.format for _, M in solves}
+    assert kinds == ({"dense"} if form == "dense" else {"csc"})
+    if problem.gamma == 2:
+        (b0, b1), = blocks
+        product = b0 @ b1
+        assert 8 * product.nnz < product.shape[0] ** 2
+
+
+def test_a_sparse_block_with_one_self_loop_matches_its_symmetric_twin(monkeypatch):
+    # a period-1 path with one loop: its block is banded, so it is
+    # factored sparse, with the 99 diagonal entries it does not store.  It
+    # is similar to the symmetric path with off-diagonal sqrt(0.3 * 0.6),
+    # whose eigenvalues are well conditioned; those of P are not, since
+    # xi spans 2^50
+    n = 100
+    P = np.diag(np.full(n - 1, 0.3), 1) + np.diag(np.full(n - 1, 0.6), -1)
+    P[0, 0] = 0.2
+    twin = np.diag(np.full(n - 1, np.sqrt(0.18)), 1)
+    twin = twin + twin.T
+    twin[0, 0] = 0.2
+    solves = _solves_by_run(monkeypatch)
+    cls = perron_data(sparse.csr_array(P), range(n))
+    assert {M.format for _, M in solves} == {"csc"}
+    rho = np.linalg.eigvalsh(twin)[-1]
+    assert cls.period == 1 and cls.rho == pytest.approx(rho, rel=1e-12)
+    assert max(cls.nu_residual, cls.xi_residual) <= 1e-12
+
+
+def test_tree_potential_makes_a_reversible_block_symmetric():
+    # the lifted moving walk is reversible, so exp(-L) Q exp(L) is
+    # symmetric on its class; L moves by log(q/p) / 2 a site, over the 198
+    # sites from one end of the class to the other
+    cls = max(lift_chain(moving_walk(0.45, 100)).decomposition.classes, key=lambda c: c.size)
+    sub = cls.submatrix.toarray()
+    L = spectral._tree_potential(cls.submatrix)
+    scaled = np.where(sub > 0.0, sub * np.exp(L[None, :] - L[:, None]), 0.0)
+    assert np.max(np.abs(scaled - scaled.T)) <= 1e-13 * scaled.max()
+    assert np.ptp(L) == pytest.approx(198 * 0.5 * np.log(0.55 / 0.45), rel=1e-9)
+
+
+def test_a_block_with_no_two_way_edge_gets_no_potential():
+    three = sparse.csr_array(np.roll(np.eye(3), 1, axis=1) * 0.9)
+    assert spectral._tree_potential(three).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("entry", [qed_moving, build_qprocess_dominant, qld_cycle])
+def test_perron_vectors_past_float64_raise_in_every_reader(entry):
+    # nu and xi span 333 decades: rho is certified, and the unscaled
+    # vectors would underflow, so no reader gets a NaN or a silent 0
+    with pytest.raises(ConvergenceError, match="333 decades"):
+        entry(moving_walk(0.1, 350))
 
 
 def test_underflowing_perron_iterate_raises_convergence_error():
