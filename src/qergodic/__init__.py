@@ -22,7 +22,6 @@ from .chain import (
     TransitionKernel,
     lift_chain,
     load_problem,
-    loads_problem,
     problem_from_dict,
     problem_to_dict,
     save_problem,
@@ -62,10 +61,8 @@ from .qprocess import (
 from .sim import (
     ConditionalEstimates,
     EstimateWithCI,
-    SimBatch,
     SimConfig,
     estimate_conditionals,
-    simulate_paths,
     simulate_qprocess,
     survival_curve,
 )
@@ -118,7 +115,6 @@ __all__ = [
     "QedResult",
     "QldCycle",
     "RandomWalkSpec",
-    "SimBatch",
     "SimConfig",
     "StateSpace",
     "TransitionKernel",
@@ -138,7 +134,6 @@ __all__ = [
     "finite_horizon_qlaw",
     "lift_chain",
     "load_problem",
-    "loads_problem",
     "mean_ratio_curve",
     "moving_walk",
     "moving_walk_qed",
@@ -154,7 +149,6 @@ __all__ = [
     "qsd_fixed_point_search",
     "save_problem",
     "select_dominant",
-    "simulate_paths",
     "simulate_qprocess",
     "spectral_radius",
     "state_function",

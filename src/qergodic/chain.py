@@ -42,7 +42,6 @@ __all__ = [
     "problem_from_dict",
     "problem_to_dict",
     "load_problem",
-    "loads_problem",
     "save_problem",
 ]
 
@@ -239,6 +238,13 @@ class Distribution:
         )
 
 
+def _check_weights(vec: np.ndarray) -> None:
+    """The one check on the weights of a law given to an analysis: raises
+    ValidationError unless each is finite and nonnegative."""
+    if not (np.isfinite(vec) & (vec >= 0.0)).all():
+        raise ValidationError("law has weights that are negative or not finite")
+
+
 @dataclass(frozen=True, eq=False)
 class AbsorbedChainProblem:
     """A chain, its moving boundary and the initial law.
@@ -415,18 +421,17 @@ def _structural_violations(problem: AbsorbedChainProblem) -> list[str]:
 
 def _lifetime_bound(Q: sparse.csr_array) -> float:
     """Collatz-Wielandt bound ``max((Q y) / y)`` on the spectral radius of
-    ``Q`` at its expected lifetime y, the solution of ``(I - Q) y = 1``;
-    inf when the factor is singular or y is not finite and positive."""
+    ``Q`` at its expected lifetime y, the solution of ``(I - Q) y = 1`` by
+    :func:`~qergodic.spectral._solve`; inf when the factor is singular or y
+    is not finite and positive."""
     from scipy import sparse
-    from scipy.sparse.linalg import splu
 
-    n = Q.shape[0]
+    from .spectral import _solve  # resolved per call, so a patched _solve sees it
+
     try:
-        # natural order: 20k L+U nonzeros on the ladder at 4,000 states, COLAMD 66k
-        lu = splu(sparse.csc_array(sparse.identity(n) - Q), permc_spec="NATURAL")
-    except RuntimeError:  # exactly singular: some survivor never dies
+        y = _solve(sparse.csc_array(sparse.identity(Q.shape[0]) - Q))
+    except np.linalg.LinAlgError:  # exactly singular: some survivor never dies
         return np.inf
-    y = lu.solve(np.ones(n))
     if not (np.isfinite(y).all() and (y > 0.0).all()):
         return np.inf
     return float(np.max((Q @ y) / y))
@@ -445,7 +450,8 @@ def validate_problem(
 
     1. row sums: y the all-ones vector, with numpy alone;
     2. lifetime: y the expected lifetime, ``(I - Q) y = 1``, from one
-       sparse LU of the survivor matrix of ``lifted``;
+       sparse LU of the survivor matrix of ``lifted`` by the library's one
+       solve;
     3. Perron: the radius itself, read from the class decomposition of
        ``lifted``, which alone rejects.
 
@@ -613,29 +619,19 @@ def problem_to_dict(problem: AbsorbedChainProblem) -> dict:
     }
 
 
-def _parse_json(source: str | bytes, where: str = ""):
-    """The JSON value in ``source``, text or UTF-8 bytes.  Any failure to
-    decode or parse raises ValidationError, whose message adds ``where``
-    after "invalid JSON"."""
+def _read_json(path):
+    """The JSON value in the input file at ``path``, UTF-8 text: the one
+    reader of problem specs and state-function files.  Any failure to
+    decode or parse raises ValidationError naming the file."""
     try:
-        return json.loads(source if isinstance(source, str) else source.decode("utf-8"))
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(
-            f"invalid JSON{where} at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"invalid JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
     except (ValueError, RecursionError) as exc:
         # not UTF-8, nested too deep, or an integer longer than int() converts
-        raise ValidationError(f"invalid JSON{where}: {exc}") from None
-
-
-def _read_json(path):
-    """The JSON value in the input file at ``path``: the one reader of
-    problem specs and state-function files."""
-    return _parse_json(Path(path).read_bytes(), f" in {path}")
-
-
-def loads_problem(text: str) -> AbsorbedChainProblem:
-    return problem_from_dict(_parse_json(text))
+        raise ValidationError(f"invalid JSON in {path}: {exc}") from None
 
 
 def load_problem(path) -> AbsorbedChainProblem:

@@ -32,7 +32,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .chain import AbsorbedChainProblem, Distribution, lift_chain
+from .chain import AbsorbedChainProblem, Distribution, _check_weights, lift_chain
 from .errors import ConvergenceError, Hypothesis1Error, NullEventError, ValidationError
 from .spectral import decompose_classes
 
@@ -103,8 +103,7 @@ def _step_vector(problem, P, vec, phase) -> np.ndarray:
 def _initial_vector(problem, mu: Distribution | None) -> np.ndarray:
     initial = problem.initial if mu is None else mu
     vec = initial.to_array(problem.space)
-    if np.any(vec < 0.0):
-        raise ValidationError("law has negative weights")
+    _check_weights(vec)
     vec = vec * problem.alive[0]
     total = vec.sum()
     if total <= 0.0:
@@ -121,8 +120,7 @@ def conditional_step(
     keeps the survivors of ``phase``; the result is a probability law.
     """
     vec = mu.to_array(problem.space)
-    if np.any(vec < 0.0):
-        raise ValidationError("law has negative weights")
+    _check_weights(vec)
     if vec.sum() <= 0.0:
         raise NullEventError("cannot condition a law with no mass")
     P = problem.kernel.normalized
@@ -135,7 +133,7 @@ def conditional_law(
     problem: AbsorbedChainProblem, n: int, mu: Distribution | None = None
 ) -> Distribution:
     """Law of the chain at time ``n`` conditioned on survival up to ``n``."""
-    return conditional_law_sequence(problem, n, mu)[-1]
+    return Distribution.from_array(problem.space, _law_vectors(problem, n, mu)[-1])
 
 
 def conditional_law_sequence(

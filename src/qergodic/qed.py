@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import AbsorbedChainProblem, Distribution, LiftedChain, lift_chain
+from .chain import AbsorbedChainProblem, Distribution, LiftedChain, _check_weights, lift_chain
 from .conditioning import state_function
 from .errors import Hypothesis1Error, ValidationError
 from .spectral import ClassDecomposition, IrreducibleClass
@@ -62,7 +62,8 @@ def select_dominant(decomposition: ClassDecomposition, mu: np.ndarray) -> ClassS
         raise ValidationError(
             "initial law must be a vector over the matrix states"
         )
-    if np.any(mu < 0.0) or mu.sum() <= 0.0:
+    _check_weights(mu)
+    if mu.sum() <= 0.0:
         raise ValidationError("initial law must be nonnegative with positive mass")
 
     charged = tuple(np.unique(decomposition.class_of[mu > 0.0]).tolist())
@@ -108,21 +109,21 @@ def _eta_on_class(cls: IrreducibleClass, n_states: int) -> np.ndarray:
 
 
 def qed_fixed(
-    Q: np.ndarray,
+    Q,
     mu: np.ndarray,
     f: np.ndarray | None = None,
     labels=None,
 ) -> QedResult:
-    """Mean-ratio distribution of a fixed-boundary survivor matrix.
+    """Mean-ratio distribution of a fixed-boundary survivor matrix ``Q``,
+    dense or sparse.
 
     ``eta`` weights state i of the dominant class by ``nu(i) * xi(i)``
     (zero elsewhere); the conditioned time average of ``f`` converges to
     ``sum(f * eta)``.  ``labels`` name the states of ``eta_distribution``,
     one distinct label each (default ``"0", "1", ...``).
     """
-    Q = np.asarray(Q, dtype=float)
     decomposition = decompose_classes(Q)
-    n = Q.shape[0]
+    n = decomposition.class_of.size
     labels = tuple(str(i) for i in range(n)) if labels is None else tuple(labels)
     if len(set(labels)) != len(labels) or len(labels) != n:
         raise ValidationError(

@@ -33,10 +33,8 @@ from .qprocess import QProcessKernel
 
 __all__ = [
     "SimConfig",
-    "SimBatch",
     "EstimateWithCI",
     "ConditionalEstimates",
-    "simulate_paths",
     "estimate_conditionals",
     "survival_curve",
     "simulate_qprocess",
@@ -145,23 +143,6 @@ class SimConfig:
         ]
 
 
-@dataclass(frozen=True, eq=False)
-class SimBatch:
-    """Simulated trajectories: state indices per step, -1 once absorbed.
-
-    ``tau[i]`` is the absorption time of trajectory i, or -1 when it is
-    still alive at the horizon.
-    """
-
-    labels: tuple[str, ...]
-    paths: np.ndarray
-    tau: np.ndarray
-
-    @property
-    def survivors(self) -> np.ndarray:
-        return self.tau < 0
-
-
 @dataclass(frozen=True)
 class EstimateWithCI:
     """Point estimate with its standard error over surviving trajectories."""
@@ -254,16 +235,6 @@ def _absorbed_engine(problem: AbsorbedChainProblem, config: SimConfig, fvec,
         _RowSampler(problem.kernel.normalized), init / init.sum(), ~problem.alive,
         config, fvec, record,
     )
-
-
-def simulate_paths(problem: AbsorbedChainProblem, config: SimConfig) -> SimBatch:
-    """Simulate absorbed trajectories, truncated at the horizon.
-
-    Paths record the visited state indices; entries after the absorption
-    time are -1 (the absorbing state itself is recorded at time tau).
-    """
-    tau, _, _, paths = _absorbed_engine(problem, config, None, record="paths")
-    return SimBatch(labels=problem.space.labels, paths=paths, tau=tau)
 
 
 def estimate_conditionals(

@@ -217,10 +217,10 @@ class ClassDecomposition:
         """Extend class i's cyclic rows ``V`` (rows j mod ``len(V)``) in
         place: left laws onto every class i reaches, ``rho V_{j+1} = V_j Q``,
         or right vectors, zero on the ``ancestors`` given, onto those, ``rho
-        V_j = Q V_{j+1}``; nonsingular when they decay faster than class i.
-        Raises ValidationError for an id that names no class."""
+        V_j = Q V_{j+1}``, by one :func:`_solve`; nonsingular when they
+        decay faster than class i.  Raises ValidationError for an id that
+        names no class."""
         from scipy import sparse
-        from scipy.sparse.linalg import spsolve
 
         Q, left = self.matrix, ancestors is None
         (i,) = self._class_ids([i]).tolist()
@@ -230,9 +230,8 @@ class ClassDecomposition:
             A = Q[S][:, S].T if left else Q[S][:, S]
             B = np.roll(V, 1, axis=0) @ Q[:, S] if left else np.roll(V, -1, axis=0) @ Q[S].T
             cyclic = sparse.kron(np.roll(np.eye(len(V)), -1 if left else 1, axis=1), A)
-            M = sparse.csc_matrix(self.classes[i].rho * sparse.identity(B.size) - cyclic)
-            # SuperLU's COLAMD order took 13 s, natural 0.5 s, on qld_cycle(ladder_chain(2000))
-            V[:, S] = spsolve(M, B.ravel(), permc_spec="NATURAL").reshape(B.shape)
+            M = sparse.csc_array(self.classes[i].rho * sparse.identity(B.size) - cyclic)
+            V[:, S] = _solve(M, rhs=B.ravel()).reshape(B.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,25 +298,30 @@ def _shifted(A, x: np.ndarray, hi: float | None = None):
     return float(ratio.min()), hi, sparse.csc_array((data, A.indices, A.indptr), A.shape)
 
 
-def _solve(M, transpose: bool = False) -> np.ndarray:
-    """``M^{-1} 1``, or with ``transpose`` ``M^{-T} 1``: the one solve of
-    Noda's iteration and of :func:`_left_start`, where ``M = hi I - B`` is
-    an M-matrix with diagonally dominant rows.  A dense ``M`` takes
-    LAPACK's LU.  A CSC ``M`` takes SuperLU in the natural order,
-    pivoting on the diagonal only: an M-matrix needs no pivoting for its
-    LU to stay stable, and the factor then fills only inside the envelope
-    that :func:`_t_step` bounds.  Raises LinAlgError when the factor is
-    exactly singular."""
-    n = M.shape[0]
+def _solve(M, transpose: bool = False, rhs: np.ndarray | None = None) -> np.ndarray:
+    """``M^{-1} b``, or with ``transpose`` ``M^{-T} b``, for ``b = rhs``
+    (all ones when not given): the library's one linear solve.  Every
+    ``M`` it is given is an M-matrix: Noda's ``hi I - B`` and
+    :func:`_left_start`'s transpose, the lifetime certificate's ``I - Q``
+    and :meth:`ClassDecomposition.extend`'s ``rho I - shift (x) A``.  A
+    dense ``M`` takes LAPACK's LU.  A CSC ``M`` takes SuperLU in the
+    natural order, pivoting on the diagonal only: a nonsingular M-matrix
+    needs no pivoting for its LU to stay stable (Funderlic & Plemmons, LAA
+    41, 1981), and the factor then fills only inside the envelope that
+    :func:`_t_step` bounds.  COLAMD's order took 13 s, natural 0.5 s, on
+    ``qld_cycle(ladder_chain(2000))``, and the lifetime factor of the
+    4,000-state ladder holds 20k L+U entries in natural order, 66k in
+    COLAMD's.  Raises LinAlgError when the factor is exactly singular."""
+    b = np.ones(M.shape[0]) if rhs is None else rhs
     if isinstance(M, np.ndarray):
-        return np.linalg.solve(M.T if transpose else M, np.ones(n))
+        return np.linalg.solve(M.T if transpose else M, b)
     from scipy.sparse.linalg import splu
 
     try:
         lu = splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise np.linalg.LinAlgError(str(exc)) from None
-    return lu.solve(np.ones(n), trans="T" if transpose else "N")
+    return lu.solve(b, trans="T" if transpose else "N")
 
 
 def _noda(A, x: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:

@@ -23,7 +23,7 @@ from qergodic import (
     estimate_conditionals,
     finite_horizon_qlaw,
     lift_chain,
-    loads_problem,
+    load_problem,
     mean_ratio_curve,
     moving_walk,
     problem_from_dict,
@@ -189,6 +189,22 @@ def test_validate_reports_empty_survival_set():
 def test_validate_reports_initial_support_violation():
     prob = n3_walk(start="0")
     assert any("phase-0 survival" in v for v in validate_problem(prob))
+
+
+@pytest.mark.parametrize(
+    "weights, report",
+    [
+        ({"3": 1.0, "zz": 0.0}, "initial distribution names unknown states ['zz']"),
+        ({"3": float("nan")}, "initial distribution has non-finite weights"),
+        ({"3": 1.5, "2": -0.5}, "initial distribution has negative weights at ['2']"),
+        ({"3": 0.5}, "initial distribution does not sum to 1 (sum = 0.5)"),
+    ],
+    ids=["unknown", "not-finite", "negative", "sum"],
+)
+def test_validate_reports_each_initial_law_violation(weights, report):
+    prob = n3_walk()
+    broken = AbsorbedChainProblem(prob.space, prob.kernel, prob.boundary, Distribution(weights))
+    assert validate_problem(broken) == [report]
 
 
 def test_validate_reports_no_absorption():
@@ -535,7 +551,9 @@ F_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("f", [{"3": float("nan")}, {"zz": 1.0}], ids=["not-finite", "unknown"])
+@pytest.mark.parametrize(
+    "f", [{"3": float("nan")}, {"zz": 1.0}, np.ones(3)], ids=["not-finite", "unknown", "length"]
+)
 @pytest.mark.parametrize("entry", list(F_ENTRY_POINTS))
 def test_a_bad_state_function_is_rejected_before_any_decomposition(
     entry, f, decompositions, monkeypatch
@@ -646,21 +664,30 @@ def test_problem_json_round_trip(tmp_path):
     assert again.initial.weights == prob.initial.weights
 
 
-def test_loader_diagnoses_bad_json():
+def _load_text(tmp_path, text: str):
+    """``load_problem`` on a spec file holding ``text``."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(text, encoding="utf-8")
+    return load_problem(spec)
+
+
+def test_loader_diagnoses_bad_json(tmp_path):
     with pytest.raises(ValidationError, match="line 1"):
-        loads_problem("{not json")
+        _load_text(tmp_path, "{not json")
 
 
-def test_loader_diagnoses_field_errors():
+def test_loader_diagnoses_field_errors(tmp_path):
     with pytest.raises(ValidationError, match="killing_sets"):
-        loads_problem(
+        _load_text(
+            tmp_path,
             '{"states": ["a"], "kernel": [[1.0]], "gamma": 1,'
-            ' "killing_sets": [["zz"]], "initial": {"a": 1.0}}'
+            ' "killing_sets": [["zz"]], "initial": {"a": 1.0}}',
         )
     with pytest.raises(ValidationError, match="kernel"):
-        loads_problem(
+        _load_text(
+            tmp_path,
             '{"states": ["a", "b"], "kernel": [[1.0]], "gamma": 1,'
-            ' "killing_sets": [[]], "initial": {"a": 1.0}}'
+            ' "killing_sets": [[]], "initial": {"a": 1.0}}',
         )
 
 
@@ -676,7 +703,7 @@ def _spec_with_kernel(kernel) -> dict:
 
 @pytest.mark.parametrize("bad", [True, "0.5", None, [0.5]])
 @pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
-def test_loader_names_the_first_non_numeric_kernel_cell(bad, i, j):
+def test_loader_names_the_first_non_numeric_kernel_cell(bad, i, j, tmp_path):
     kernel = [[0.5, 0.5], [0.0, 1.0]]
     kernel[i][j] = bad
     with pytest.raises(ValidationError) as info:
@@ -684,7 +711,7 @@ def test_loader_names_the_first_non_numeric_kernel_cell(bad, i, j):
     assert str(info.value) == f"field 'kernel[{i}][{j}]': expected a number"
     # loaded from JSON text the same cell is named
     with pytest.raises(ValidationError) as info:
-        loads_problem(json.dumps(_spec_with_kernel(kernel)))
+        _load_text(tmp_path, json.dumps(_spec_with_kernel(kernel)))
     assert str(info.value) == f"field 'kernel[{i}][{j}]': expected a number"
 
 
@@ -711,14 +738,14 @@ def test_loader_scans_kernel_cells_row_major():
         ("initial['a']", [[0.5, 0.5], [0.0, 1.0]], {"a": 10**400}),
     ],
 )
-def test_loader_rejects_numbers_past_float_range(field, kernel, initial):
+def test_loader_rejects_numbers_past_float_range(field, kernel, initial, tmp_path):
     spec = {**_spec_with_kernel(kernel), "initial": initial}
     expected = f"field '{field}': expected a number"
     with pytest.raises(ValidationError) as info:
         problem_from_dict(spec)
     assert str(info.value) == expected
     with pytest.raises(ValidationError) as info:
-        loads_problem(json.dumps(spec))
+        _load_text(tmp_path, json.dumps(spec))
     assert str(info.value) == expected
 
 

@@ -986,6 +986,21 @@ def test_state_function_that_is_not_finite_is_rejected(entry, value):
         )
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.5])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda problem, mu: conditional_step(problem, mu, 1),
+        lambda problem, mu: conditional_law(problem, 3, mu),
+    ],
+    ids=["conditional_step", "conditional_law"],
+)
+def test_a_law_with_a_negative_or_non_finite_weight_is_rejected(entry, value):
+    # a NaN weight would make every weight of the result NaN
+    with pytest.raises(ValidationError, match="negative or not finite"):
+        entry(moving_walk(0.45, 5), Distribution({"3": value, "4": 1.0}))
+
+
 def test_a_read_only_mapping_is_a_state_function():
     # Distribution.weights is a read-only mapping
     problem = moving_walk(0.45, 5, initial="5")

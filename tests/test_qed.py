@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from qergodic import (
     Distribution,
@@ -152,6 +153,33 @@ def test_qed_fixed_constant_function_gives_one():
     Q = survivor_matrix_fixed(0.4, 5)
     result = qed_fixed(Q, np.full(5, 0.2), np.ones(5))
     assert result.phi == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.5])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda Q, mu: qed_fixed(Q, mu),
+        lambda Q, mu: select_dominant(decompose_classes(Q), mu),
+    ],
+    ids=["qed_fixed", "select_dominant"],
+)
+def test_an_initial_law_with_a_negative_or_non_finite_weight_is_rejected(entry, value):
+    # a NaN weight would read as uncharged and an infinite one as charged
+    with pytest.raises(ValidationError, match="negative or not finite"):
+        entry(survivor_matrix_fixed(0.5, 5), np.array([value, 1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "Q",
+    [survivor_matrix_fixed(0.4, 5), lift_chain(n3_walk(0.45)).survivor_matrix],
+    ids=["fixed-5", "lifted-n3"],
+)
+def test_qed_fixed_reads_sparse_and_dense_alike(Q):
+    mu = np.full(Q.shape[0], 1.0 / Q.shape[0])
+    dense, csr = qed_fixed(Q, mu), qed_fixed(sparse.csr_array(Q), mu)
+    assert csr.eta.tobytes() == dense.eta.tobytes()
+    assert csr.rho == dense.rho
 
 
 @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c", "d"), ("a", "b", "a")])

@@ -23,12 +23,11 @@ from qergodic import (
     qed_moving,
     qld_cycle,
     qprocess_closed_form,
-    simulate_paths,
     simulate_qprocess,
     survival_coefficient,
     survival_curve,
 )
-from qergodic.sim import _path_dtype, _path_keys, _RowSampler, _uniforms
+from qergodic.sim import _absorbed_engine, _path_dtype, _path_keys, _RowSampler, _uniforms
 from _chains import dense_draw, n3_walk, random_problem, symmetric_slow_chain
 
 
@@ -43,22 +42,29 @@ def suicide_chain():
     )
 
 
+def simulate_paths(problem, config):
+    """Paths (trajectory by step, -1 once absorbed) and absorption times
+    (-1 for a path alive at the horizon), drawn by the absorbed engine."""
+    tau, _, _, paths = _absorbed_engine(problem, config, None, record="paths")
+    return paths, tau
+
+
 def test_deterministic_suicide_has_tau_one():
-    batch = simulate_paths(suicide_chain(), SimConfig(seed=1, trajectories=500, horizon=5))
-    assert np.all(batch.tau == 1)
-    assert np.all(batch.paths[:, 1] == 1)
-    assert np.all(batch.paths[:, 2] == -1)
+    paths, tau = simulate_paths(suicide_chain(), SimConfig(seed=1, trajectories=500, horizon=5))
+    assert np.all(tau == 1)
+    assert np.all(paths[:, 1] == 1)
+    assert np.all(paths[:, 2] == -1)
 
 
 def test_paths_respect_kernel_support_and_killing():
     problem = n3_walk(0.4)
     config = SimConfig(seed=3, trajectories=2000, horizon=12)
-    batch = simulate_paths(problem, config)
+    paths, taus = simulate_paths(problem, config)
     P = problem.kernel.normalized
     space = problem.space
     for i in range(0, 2000, 97):
-        path = batch.paths[i]
-        tau = batch.tau[i]
+        path = paths[i]
+        tau = taus[i]
         end = tau if tau >= 0 else config.horizon
         for t in range(1, end + 1):
             assert P[path[t - 1], path[t]] > 0.0
@@ -74,10 +80,10 @@ def test_tau_equals_lifted_hitting_time():
     problem = n3_walk(0.45)
     lifted = lift_chain(problem)
     config = SimConfig(seed=11, trajectories=500, horizon=10)
-    batch = simulate_paths(problem, config)
+    paths, taus = simulate_paths(problem, config)
     for i in range(500):
-        path = batch.paths[i]
-        tau = batch.tau[i]
+        path = paths[i]
+        tau = taus[i]
         lifted_tau = -1
         for t in range(config.horizon + 1):
             if path[t] < 0:
@@ -151,9 +157,9 @@ def test_seeded_stream_matches_per_path_reference(problem):
     alive = np.array([np.sum((tau < 0) | (tau > t)) for t in range(config.horizon + 1)])
     for shards in (1, 3):
         sharded = SimConfig(config.seed, config.trajectories, config.horizon, shards)
-        batch = simulate_paths(problem, sharded)
-        np.testing.assert_array_equal(batch.paths, paths)
-        np.testing.assert_array_equal(batch.tau, tau)
+        drawn_paths, drawn_tau = simulate_paths(problem, sharded)
+        np.testing.assert_array_equal(drawn_paths, paths)
+        np.testing.assert_array_equal(drawn_tau, tau)
         p_hat, _ = survival_curve(problem, sharded)
         np.testing.assert_array_equal(p_hat, alive / config.trajectories)
 
@@ -187,6 +193,11 @@ def test_zero_survivors_raises_helpful_error():
         estimate_conditionals(
             problem, {"a": 1.0}, SimConfig(seed=1, trajectories=100, horizon=3)
         )
+
+
+def test_estimate_conditionals_needs_a_horizon_of_one_step():
+    with pytest.raises(ValidationError, match="horizon must be at least 1"):
+        estimate_conditionals(n3_walk(0.5), {"3": 1.0}, SimConfig(1, 10, horizon=0))
 
 
 def test_low_sample_flag():

@@ -20,6 +20,7 @@ from qergodic import (
     save_problem,
     spectral_radius,
     survival_coefficient,
+    validate_problem,
     verify_eigenprojection,
 )
 from qergodic import spectral
@@ -374,6 +375,47 @@ def test_a_start_whose_first_solve_is_singular_runs_again_flat(monkeypatch):
     monkeypatch.undo()
     flat, flat_lo, flat_hi = spectral._noda(A)
     assert x.tobytes() == flat.tobytes() and (lo, hi) == (flat_lo, flat_hi)
+
+
+@pytest.mark.parametrize("form", [np.asarray, sparse.csc_array], ids=["dense", "csc"])
+def test_a_singular_factor_raises_lin_alg_error(form):
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral._solve(form(np.array([[1.0, 0.0], [0.0, 0.0]])))
+
+
+def test_a_bracket_that_stays_open_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(spectral, "_NODA_MAX_STEPS", 1)
+    rng = np.random.default_rng(3)
+    P = rng.dirichlet(np.full(60, 0.5), size=60) * rng.uniform(0.5, 1.0, (60, 1))
+    with pytest.raises(ConvergenceError, match=r"wider than 1e-10 relative after 1 solves"):
+        perron_data(P, range(60))
+
+
+# the lifetime certificate settles the walk with no Perron solve, and the
+# feeder's ring extends onto the feeder and onto the sink
+ONE_SOLVE_PATHS = {
+    "lifetime": (lambda: validate_problem(moving_walk(0.45, 20)), 0),
+    "extension": (lambda: qld_cycle(feeder_ring_sink(("b", "c"))), 2),
+}
+
+
+@pytest.mark.parametrize("path", list(ONE_SOLVE_PATHS))
+def test_every_linear_system_is_solved_by_the_one_solve(path, monkeypatch):
+    solve, calls = spectral._solve, []
+
+    def recording(M, transpose=False, rhs=None):
+        calls.append((M, rhs))
+        return solve(M, transpose, rhs)
+
+    monkeypatch.setattr(spectral, "_solve", recording)
+    run, extensions = ONE_SOLVE_PATHS[path]
+    run()
+    assert sum(rhs is not None for _, rhs in calls) == extensions
+    if path == "lifetime":
+        (M, _), = calls
+        survivors = len(lift_chain(moving_walk(0.45, 20)).survivors)
+        assert M.format == "csc" and M.shape == (survivors, survivors)
+    assert all(M.format == "csc" for M, rhs in calls if rhs is not None)
 
 
 def test_transient_singleton_has_rho_zero():
