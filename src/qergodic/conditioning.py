@@ -25,14 +25,15 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from collections.abc import Mapping
+from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb, lcm
 
 import numpy as np
 
-from .chain import AbsorbedChainProblem, Distribution, _check_weights, lift_chain
+from .chain import AbsorbedChainProblem, Distribution, LiftedChain, _check_weights, lift_chain
 from .errors import ConvergenceError, Hypothesis1Error, NullEventError, ValidationError
 from .spectral import decompose_classes
 
@@ -133,7 +134,8 @@ def conditional_law(
     problem: AbsorbedChainProblem, n: int, mu: Distribution | None = None
 ) -> Distribution:
     """Law of the chain at time ``n`` conditioned on survival up to ``n``."""
-    return Distribution.from_array(problem.space, _law_vectors(problem, n, mu)[-1])
+    last = deque(_law_vectors(problem, n, mu), maxlen=1)[0]
+    return Distribution.from_array(problem.space, last)
 
 
 def conditional_law_sequence(
@@ -151,18 +153,18 @@ def conditional_law_sequence(
     ]
 
 
-def _law_vectors(problem, n_max: int, mu=None) -> list[np.ndarray]:
-    """The laws of :func:`conditional_law_sequence` as state-space vectors."""
+def _law_vectors(problem, n_max: int, mu=None) -> Iterator[np.ndarray]:
+    """The laws of :func:`conditional_law_sequence` as state-space vectors,
+    yielded one at a time."""
     n_max = _horizon(n_max)
     if n_max < 0:
         raise ValueError("horizon must be nonnegative")
     P = problem.kernel.normalized
     vec = _initial_vector(problem, mu)
-    laws = [vec]
+    yield vec
     for n in range(1, n_max + 1):
         vec = _step_vector(problem, P, vec, n % problem.gamma)
-        laws.append(vec)
-    return laws
+        yield vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,16 +187,19 @@ class CollapsedChain:
 def collapsed_chain(
     problem: AbsorbedChainProblem, base_phase: int = 0
 ) -> CollapsedChain:
-    """Kernel of the gamma-step chain: one period of masked transitions."""
-    gamma = problem.gamma
-    P = problem.kernel.normalized
-    acc = np.eye(problem.space.size)
-    for step in range(1, gamma + 1):
-        acc = acc @ (P * problem.alive[(base_phase + step) % gamma])
-    idx = np.flatnonzero(problem.alive[base_phase % gamma])
-    kernel = acc[np.ix_(idx, idx)]
+    """Kernel of the gamma-step chain: the base phase's rows of ``Q^gamma``
+    for the lifted survivor matrix Q, which land back on that phase.  The
+    problem is not validated; only the result is dense."""
+    lifted = LiftedChain(problem)
+    base = base_phase % problem.gamma
+    rows = np.flatnonzero(lifted.phase == base)
+    Q = lifted.survivor_csr
+    block = Q[rows]
+    for _ in range(problem.gamma - 1):
+        block = block @ Q
+    kernel = block[:, rows].toarray()
     return CollapsedChain(
-        base_phase=base_phase % gamma,
+        base_phase=base,
         survivors=problem.survivors(base_phase),
         matrix=kernel,
         cemetery=1.0 - kernel.sum(axis=1),
@@ -723,7 +728,7 @@ def write_conditional_laws_csv(problem: AbsorbedChainProblem, n_max: int, path):
     The table is written as ``_write_table`` writes it, so each weight
     reads back as the exact float ``conditional_law_sequence`` reports.
     """
-    laws = np.array(_law_vectors(problem, n_max))
+    laws = np.array(list(_law_vectors(problem, n_max)))
     # a float cell is its repr; adding 0.0 turns a -0.0 weight of the
     # initial law into the 0.0 that conditional_law_sequence reports
     _write_table(path, ["n", *problem.space.labels], [range(n_max + 1)], laws + 0.0)

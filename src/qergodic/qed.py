@@ -67,9 +67,6 @@ def select_dominant(decomposition: ClassDecomposition, mu: np.ndarray) -> ClassS
         raise ValidationError("initial law must be nonnegative with positive mass")
 
     charged = tuple(np.unique(decomposition.class_of[mu > 0.0]).tolist())
-    if not charged:
-        raise ValidationError("initial law charges no state of the matrix")
-
     _, tied = decomposition.dominant_classes(charged)
     if len(tied) > 1:
         names = "; ".join(

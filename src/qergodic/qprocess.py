@@ -14,6 +14,7 @@ sweep of the CSR survivor matrix, the same sweep as the exact oracle in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,29 +172,23 @@ def finite_horizon_qlaw(
     n = len(cylinder)
     if m < n:
         raise ValueError("horizon must be at least the cylinder length")
-    space = problem.space
-    for label in [x, *cylinder]:
-        space.index(label)
+    labels = [x, *cylinder]
+    for label in labels:
+        problem.space.index(label)  # an unknown label raises
     lifted = lift_chain(problem)
-    gamma = lifted.gamma
-    if (x, 0) not in lifted.survivor_index:
+    # the lifted path; a step into the killing set has no survivor index
+    path = [lifted.survivor_index.get((y, k % lifted.gamma)) for k, y in enumerate(labels)]
+    if path[0] is None:
         raise ValidationError(f"state {x!r} is absorbed at phase 0")
-
-    P = problem.kernel.normalized
-    prefix = 1.0
-    current = x
-    alive = True
-    for step, target in enumerate(cylinder, start=1):
-        if (target, step % gamma) not in lifted.survivor_index:
-            alive = False
-            break
-        prefix *= float(P[space.index(current), space.index(target)])
-        current = target
-    if not alive or prefix == 0.0:
+    if None in path:
+        return 0.0
+    states = lifted.state[path]
+    # left to right, as the chain takes the steps
+    prefix = math.prod(problem.kernel.normalized[states[:-1], states[1:]].tolist())
+    if prefix == 0.0:
         return 0.0
 
-    index = lifted.survivor_index
-    rows = {m - n: index[(current, n % gamma)], m: index[(x, 0)]}
+    rows = {m - n: path[-1], m: path[0]}
     read = {j: (V[rows[j], 0], e) for j, V, e in _survival_sweep(lifted, rows, [m])}
     (tail_value, tail_exponent), (denom, exponent) = read[m - n], read[m]
     if denom <= 0.0:

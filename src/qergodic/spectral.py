@@ -125,9 +125,6 @@ class IrreducibleClass:
         except KeyError:
             raise ValidationError(f"state {state} is not in this class") from None
 
-    def cyclic_index(self, state: int) -> int:
-        return int(self.cyclic[self.position(state)])
-
     @cached_property
     def nu_cyclic_mass(self) -> np.ndarray:
         """Total ``nu`` mass per cyclic class."""
@@ -719,9 +716,8 @@ def survival_coefficient(cls: IrreducibleClass, state: int, n: int) -> float:
     is strictly positive for every ``n``.
     """
     pos = cls.position(state)
-    k = cls.cyclic_index(state)
     T = cls.period
-    return float(T * cls.xi[pos] * cls.nu_cyclic_mass[(n + k) % T])
+    return float(T * cls.xi[pos] * cls.nu_cyclic_mass[(n + cls.cyclic[pos]) % T])
 
 
 def verify_eigenprojection(cls: IrreducibleClass, state: int) -> EigenProjectionReport:

@@ -183,15 +183,8 @@ def moving_walk_qed(N: int, start_parity: str) -> Distribution:
     boundary and weights ``sin^2(s pi / (2N))`` on states 1..2N-1.  The
     result does not depend on the step bias p.
     """
-    if start_parity not in ("even", "odd"):
-        raise ValidationError("start_parity must be 'even' or 'odd'")
-    if N < 2:
-        raise ValidationError("N must be at least 2")
+    _check_start(0.5, N, start_parity)  # any p: the limit is p-free
     if start_parity == "even":
-        if N == 2:
-            raise ValidationError(
-                "even start with N = 2 is absorbed at the first step"
-            )
         states = np.arange(2, 2 * N - 1)
         weights = np.sin((states - 1) * np.pi / (2.0 * (N - 1))) ** 2
     else:
@@ -201,8 +194,19 @@ def moving_walk_qed(N: int, start_parity: str) -> Distribution:
     return Distribution({str(s): float(w) for s, w in zip(states, weights)})
 
 
+def _check_start(p: float, N: int, start_parity: str) -> None:
+    """Raise ValidationError unless (p, N) is a moving walk and
+    ``start_parity``, "even" or "odd", names a class that survives a step."""
+    RandomWalkSpec(p, N=N)
+    if start_parity not in ("even", "odd"):
+        raise ValidationError("start_parity must be 'even' or 'odd'")
+    if start_parity == "even" and N == 2:
+        raise ValidationError("even start with N = 2 is absorbed at the first step")
+
+
 def moving_walk_rho(p: float, N: int, start_parity: str) -> float:
     """Decay rate of the dominant parity class of the moving walk."""
+    _check_start(p, N, start_parity)
     if start_parity == "even":
         return 2.0 * np.sqrt(p * (1.0 - p)) * np.cos(np.pi / (2.0 * (N - 1)))
     return 2.0 * np.sqrt(p * (1.0 - p)) * np.cos(np.pi / (2.0 * N))
@@ -219,14 +223,8 @@ def qprocess_closed_form(p: float, N: int, start_parity: str) -> QProcessKernel:
     cancels against the Perron reweighting, so the kernel is p-free; rows
     sum to 1 by the sine addition formula.
     """
-    RandomWalkSpec(p, N=N)
-    if start_parity not in ("even", "odd"):
-        raise ValidationError("start_parity must be 'even' or 'odd'")
-    if start_parity == "even" and N == 2:
-        raise ValidationError("even start with N = 2 is absorbed at the first step")
-
+    rho = moving_walk_rho(p, N, start_parity)  # checks p, N and the parity
     start_par = 0 if start_parity == "even" else 1
-    rho = moving_walk_rho(p, N, start_parity)
 
     def band_states(phase: int) -> list[int]:
         # class states at this phase: parity start_par + phase, inside the

@@ -18,6 +18,7 @@ from qergodic import (
     ValidationError,
     build_qprocess,
     build_qprocess_dominant,
+    collapsed_chain,
     conditional_law,
     decompose_classes,
     estimate_conditionals,
@@ -480,6 +481,7 @@ ENTRY_POINTS = {
         problem, "3", ["4", "3"], 10
     ),
     "qld_cycle": lambda problem, spec: qld_cycle(problem),
+    "collapsed_chain": lambda problem, spec: collapsed_chain(problem, 1),
     "cli_analyze": lambda problem, spec: main(
         ["analyze", "--in", str(spec), "--out", str(spec.with_name("report.json"))]
     ),
@@ -489,7 +491,7 @@ ENTRY_POINTS = {
 
 # n3_walk's interior rows sum to 1, so its row sums prove nothing, but its
 # expected lifetime certifies absorption; only the analyses that read
-# class data decompose, once.
+# class data decompose, once.  collapsed_chain does not validate.
 DECOMPOSITIONS = {
     "qed_moving": 1,
     "build_qprocess": 1,
@@ -497,6 +499,7 @@ DECOMPOSITIONS = {
     "mean_ratio_curve": 0,
     "finite_horizon_qlaw": 0,
     "qld_cycle": 1,
+    "collapsed_chain": 0,
     "cli_analyze": 1,
     "cli_oracle": 0,
 }
@@ -576,6 +579,7 @@ def test_a_bad_state_function_is_rejected_before_any_decomposition(
         "qld_cycle",
         "mean_ratio_curve",
         "finite_horizon_qlaw",
+        "collapsed_chain",
         "validate_problem",
         "cli_analyze",
     ],

@@ -53,6 +53,13 @@ def test_randomwalk_generates_loadable_problem(tmp_path):
     assert problem.initial.weights == {"3": 1.0}
 
 
+def test_randomwalk_without_out_prints_the_spec(tmp_path, capsys):
+    assert main(["randomwalk", "--p", "0.45", "--N", "5"]) == 0
+    spec = _strict(capsys.readouterr().out)
+    assert spec == problem_to_dict(moving_walk(0.45, 5))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_ok_and_report(walk_file, tmp_path, capsys):
     code = main(["validate", "--in", str(walk_file)])
     assert code == 0
@@ -253,6 +260,20 @@ def test_oracle_emits_value_and_csvs(walk_file, f_file, tmp_path):
     assert (tmp_path / "oracle_conditional_laws.csv").exists()
 
 
+def test_oracle_without_out_writes_its_csvs_into_the_working_directory(
+    walk_file, f_file, tmp_path, monkeypatch, capsys
+):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["oracle", "--in", str(walk_file), "--f", str(f_file), "--n", "40"]) == 0
+    report = _strict(capsys.readouterr().out)
+    assert (report["mean_ratio_csv"], report["conditional_laws_csv"]) == (
+        "mean_ratio.csv", "conditional_laws.csv")
+    assert sorted(p.name for p in cwd.iterdir()) == ["conditional_laws.csv", "mean_ratio.csv"]
+    assert len((cwd / "mean_ratio.csv").read_text().splitlines()) == 41
+
+
 def test_validate_and_oracle_on_a_walk_whose_perron_iterate_underflows(f_file, tmp_path):
     # the Perron iterate of this walk underflows; neither command needs it
     spec, out = tmp_path / "walk.json", tmp_path / "oracle.json"
@@ -306,6 +327,7 @@ BAD_INPUT_FILES = {
     "f-nan": (_walk_spec(), b'{"3": NaN}'),
     "f-infinite": (_walk_spec(), b'{"3": 1e400}'),
     "f-past-float-range": (_walk_spec(), b'{"3": 1' + b"0" * 400 + b"}"),
+    "f-list": (_walk_spec(), b"[1, 2]"),
 }
 
 

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from types import MappingProxyType
 
 import numpy as np
@@ -158,6 +159,27 @@ def test_collapsed_chain_gamma_one_is_survivor_restriction():
     np.testing.assert_allclose(cc.cemetery, 1.0 - Q.sum(axis=1), atol=1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_collapsed_chain_is_one_period_of_masked_kernels(seed):
+    # the dense product of gamma kernels, each masked to the survivors of
+    # the phase it lands in, cut to the base phase's survivors
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, gamma=int(rng.integers(1, 5)))
+    P, alive, gamma = problem.kernel.normalized, problem.alive, problem.gamma
+    for base in range(-1, gamma):
+        acc = np.eye(problem.space.size)
+        for step in range(1, gamma + 1):
+            acc = acc @ (P * alive[(base + step) % gamma])
+        idx = np.flatnonzero(alive[base % gamma])
+        cc = collapsed_chain(problem, base)
+        assert cc.base_phase == base % gamma
+        assert cc.survivors == problem.survivors(base)
+        kernel = acc[np.ix_(idx, idx)]
+        np.testing.assert_allclose(cc.matrix, kernel, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cc.cemetery, 1.0 - kernel.sum(axis=1), rtol=0, atol=1e-15)
+
+
 def _collapse_cylinders_brute(problem, n_blocks):
     """Joint law of (X_gamma, ..., X_{n_blocks*gamma}) with survival."""
     gamma = problem.gamma
@@ -236,6 +258,7 @@ def test_qld_cycle_aperiodic_collapses_to_qsd():
     cycle = qld_cycle(problem)
     assert cycle.period == 1
     assert cycle.qld_exists
+    assert cycle.verdict == "conditioned laws converge to a single limit"
     lifted = lift_chain(problem)
     cls = decompose_classes(lifted.survivor_matrix).classes[0]
     qsd = Distribution(
@@ -655,6 +678,46 @@ def test_a_horizon_that_is_not_an_integer_is_rejected(n, tmp_path):
     # numpy integers are integers
     assert mean_ratio_curve(problem, f, np.array([2, 3])).tolist() == [
         exact_mean_ratio(problem, f, 2), exact_mean_ratio(problem, f, np.int32(3))]
+
+
+BAD_ARGUMENTS = {
+    "law-sequence-negative-horizon": (
+        lambda problem, path: conditional_law_sequence(problem, -1),
+        ValueError, "horizon must be nonnegative"),
+    "law-negative-horizon": (
+        lambda problem, path: conditional_law(problem, -1),
+        ValueError, "horizon must be nonnegative"),
+    "laws-csv-negative-horizon": (
+        lambda problem, path: write_conditional_laws_csv(problem, -1, path),
+        ValueError, "horizon must be nonnegative"),
+    "qlaw-horizon-below-cylinder": (
+        lambda problem, path: finite_horizon_qlaw(problem, "1", ["2", "3", "4"], 2),
+        ValueError, "horizon must be at least the cylinder length"),
+    "step-of-a-law-with-no-mass": (
+        lambda problem, path: conditional_step(problem, Distribution({"3": 0.0}), 1),
+        NullEventError, "cannot condition a law with no mass"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARGUMENTS))
+def test_a_bad_horizon_or_law_is_rejected(case, tmp_path):
+    call, error, message = BAD_ARGUMENTS[case]
+    path = tmp_path / "laws.csv"
+    with pytest.raises(error, match=f"^{message}"):
+        call(moving_walk(0.45, 10), path)
+    assert not path.exists()
+
+
+def test_conditional_law_holds_one_law_at_a_time():
+    # the 50,001 laws of 41 states would take 16 MB together
+    problem = moving_walk(0.45, 20, initial="21")
+    tracemalloc.start()
+    try:
+        conditional_law(problem, 50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_mean_ratio_deep_horizon_rescaling():

@@ -171,6 +171,21 @@ def test_an_initial_law_with_a_negative_or_non_finite_weight_is_rejected(entry, 
 
 
 @pytest.mark.parametrize(
+    "entry, message",
+    [
+        (lambda Q: select_dominant(decompose_classes(Q), np.full(4, 0.25)),
+         "initial law must be a vector over the matrix states"),
+        (lambda Q: qed_fixed(Q, np.full(5, 0.2), np.ones(4)),
+         "f must have one value per matrix state"),
+    ],
+    ids=["select_dominant-law", "qed_fixed-f"],
+)
+def test_a_vector_of_the_wrong_length_is_rejected(entry, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        entry(survivor_matrix_fixed(0.5, 5))
+
+
+@pytest.mark.parametrize(
     "Q",
     [survivor_matrix_fixed(0.4, 5), lift_chain(n3_walk(0.45)).survivor_matrix],
     ids=["fixed-5", "lifted-n3"],

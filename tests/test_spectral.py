@@ -182,6 +182,21 @@ def test_perron_rejects_reducible_state_set():
         perron_data(Q, [0, 1])
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (lambda: perron_data(np.full((2, 3), 0.25), [0, 1]),
+         r"^expected a square matrix, got shape \(2, 3\)$"),
+        (lambda: perron_data(np.array([[0.5, 0.5], [0.0, 0.5]]), [1]).position(0),
+         "^state 0 is not in this class$"),
+    ],
+    ids=["perron_data-not-square", "position-outside-the-class"],
+)
+def test_a_matrix_or_state_a_class_cannot_hold_is_rejected(entry, message):
+    with pytest.raises(ValidationError, match=message):
+        entry()
+
+
 def _class_bytes(cls):
     return [
         cls.states,

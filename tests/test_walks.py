@@ -10,7 +10,9 @@ from qergodic import (
     lift_chain,
     moving_walk,
     moving_walk_qed,
+    moving_walk_rho,
     qed_moving,
+    qprocess_closed_form,
     survivor_matrix_fixed,
     validate_problem,
 )
@@ -156,6 +158,23 @@ def test_moving_walk_qed_rejects_degenerate():
     with pytest.raises(ValidationError):
         moving_walk_qed(2, "even")
     moving_walk_qed(2, "odd")  # fine
+
+
+@pytest.mark.parametrize(
+    "p, N, parity, message",
+    [
+        (0.45, 100, "Odd", "start_parity"),
+        (0.45, 100, "bogus", "start_parity"),
+        (0.45, 1, "even", "N must be at least 2"),
+        (1.5, 100, "odd", "p must lie"),
+        (0.45, 2, "even", "absorbed at the first step"),
+    ],
+    ids=["capitalised", "bogus", "N-1", "p-1.5", "even-N-2"],
+)
+def test_moving_walk_rho_checks_what_the_closed_forms_check(p, N, parity, message):
+    for closed_form in (moving_walk_rho, qprocess_closed_form):
+        with pytest.raises(ValidationError, match=message):
+            closed_form(p, N, parity)
 
 
 def test_lifted_class_sizes():
